@@ -115,12 +115,12 @@ func TestAdminPlane(t *testing.T) {
 	}
 
 	// The DHT scrape path must see all three nodes with traffic recorded.
-	stats, err := client.ClusterStats(ctx)
+	stats, err := client.NodeReports(ctx, d2.SectionMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats) != 3 {
-		t.Fatalf("ClusterStats returned %d nodes, want 3", len(stats))
+		t.Fatalf("NodeReports returned %d nodes, want 3", len(stats))
 	}
 	var stored int64
 	for _, ns := range stats {

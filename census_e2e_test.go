@@ -146,7 +146,7 @@ func TestCensusLocalityImprovesAfterBalance(t *testing.T) {
 	t.Logf("after balance: volume %s runs=%d", volLabel, runsAfter)
 
 	// The move must be a real balance move, not ring churn.
-	stats, err := client.ClusterStats(ctx)
+	stats, err := client.NodeReports(ctx, d2.SectionMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +186,12 @@ func waitVolumeRuns(t *testing.T, ctx context.Context, client *d2.Client, vol st
 	var last string
 	for time.Now().Before(deadline) {
 		time.Sleep(50 * time.Millisecond)
-		_, cluster, err := client.ClusterCensus(ctx)
+		reports, err := client.NodeReports(ctx, d2.SectionCensus)
 		if err != nil {
 			last = err.Error()
 			continue
 		}
-		for _, v := range cluster.Volumes {
+		for _, v := range d2.CensusCluster(reports).Volumes {
 			if v.Volume != vol {
 				continue
 			}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	d2 "github.com/defragdht/d2"
@@ -23,13 +22,11 @@ var errClusterFailing = fmt.Errorf("cluster state is failing")
 // only matching volumes are shown (a hex volume-ID prefix). Exits
 // non-zero when the census classifies the cluster as failing.
 func runFrag(ctx context.Context, client *d2.Client, volFilter string, jsonOut bool) error {
-	nodes, cluster, err := client.ClusterCensus(ctx)
+	nodes, err := scrape(ctx, client, d2.SectionCensus)
 	if err != nil {
 		return err
 	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("no reachable nodes")
-	}
+	cluster := d2.CensusCluster(nodes)
 	if jsonOut {
 		if err := printJSON(cluster); err != nil {
 			return err
@@ -70,9 +67,13 @@ func runFrag(ctx context.Context, client *d2.Client, volFilter string, jsonOut b
 	fmt.Printf("\n%-22s %-10s %8s %10s %10s %10s %6s %6s\n",
 		"ADDR", "ID", "FILES", "PRIMARY", "REPLICA", "POINTER", "STALE", "FRAG")
 	for _, n := range nodes {
-		r := n.Report
+		r := n.Census
 		if r == nil {
-			fmt.Printf("%-22s %-10s %8s (census disabled)\n", n.Self.Addr, n.Self.ID.Short(), "-")
+			note := "census disabled"
+			if n.Err != nil {
+				note = fmt.Sprintf("report error: %v", n.Err)
+			}
+			fmt.Printf("%-22s %-10s %8s (%s)\n", n.Self.Addr, n.Self.ID.Short(), "-", note)
 			continue
 		}
 		fmt.Printf("%-22s %-10s %8d %10s %10s %10s %6d %6.2f\n",
@@ -117,23 +118,18 @@ const mapSlots = 64
 // lettered by owning node, then a legend with each node's arc share,
 // load heat bar, and role breakdown from its census report.
 func runMap(ctx context.Context, client *d2.Client, jsonOut bool) error {
-	nodes, cluster, err := client.ClusterCensus(ctx)
+	nodes, err := scrape(ctx, client, d2.SectionCensus)
 	if err != nil {
 		return err
 	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("no reachable nodes")
-	}
+	cluster := d2.CensusCluster(nodes)
 	if jsonOut {
 		return printJSON(cluster)
 	}
 
-	// Order nodes by ring position and assign each a letter. Arc share
+	// Nodes arrive in ring (ID) order; assign each a letter. Arc share
 	// comes from 64-bit key prefixes: (self - pred) mod 2^64 is exact
 	// enough for display at any realistic ring size.
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].Self.ID.Less(nodes[j].Self.ID)
-	})
 	letters := "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 	letter := func(i int) byte {
 		if i < len(letters) {
@@ -170,8 +166,8 @@ func runMap(ctx context.Context, client *d2.Client, jsonOut bool) error {
 
 	var maxPrimary int64 = 1
 	for _, n := range nodes {
-		if n.Report != nil && n.Report.PrimaryBytes > maxPrimary {
-			maxPrimary = n.Report.PrimaryBytes
+		if n.Census != nil && n.Census.PrimaryBytes > maxPrimary {
+			maxPrimary = n.Census.PrimaryBytes
 		}
 	}
 	fmt.Printf("%-3s %-22s %-10s %6s %-12s %10s %10s %10s %6s\n",
@@ -184,7 +180,7 @@ func runMap(ctx context.Context, client *d2.Client, jsonOut bool) error {
 		}
 		load, frag := "-", "-"
 		primary, replica, pointer := "-", "-", "-"
-		if r := n.Report; r != nil {
+		if r := n.Census; r != nil {
 			heat := int(r.PrimaryBytes * 10 / maxPrimary)
 			load = strings.Repeat("#", heat) + strings.Repeat(".", 10-heat)
 			primary, replica, pointer = fmtBytes(r.PrimaryBytes), fmtBytes(r.ReplicaBytes), fmtBytes(r.PointerBytes)
@@ -193,6 +189,7 @@ func runMap(ctx context.Context, client *d2.Client, jsonOut bool) error {
 		fmt.Printf("%-3c %-22s %-10s %5.1f%% %-12s %10s %10s %10s %6s\n",
 			letter(i), n.Self.Addr, n.Self.ID.Short(), 100*arc, load,
 			primary, replica, pointer, frag)
+		printReportErr(n)
 	}
 	return nil
 }

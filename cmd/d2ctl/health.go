@@ -17,13 +17,11 @@ import (
 // and CI can gate on it; -o json emits the raw report instead of the
 // rendered tables.
 func runDoctor(ctx context.Context, client *d2.Client, jsonOut bool) error {
-	report, err := client.ClusterDoctor(ctx)
+	nodes, err := scrape(ctx, client, d2.SectionHealth)
 	if err != nil {
 		return err
 	}
-	if report.Nodes == 0 {
-		return fmt.Errorf("no reachable nodes")
-	}
+	report := d2.DoctorReport(nodes)
 	if jsonOut {
 		if err := printJSON(report); err != nil {
 			return err
@@ -82,7 +80,7 @@ func runWatch(ctx context.Context, client *d2.Client, interval time.Duration, n 
 			case <-time.After(interval):
 			}
 		}
-		nodes, err := client.ClusterHealth(ctx)
+		nodes, err := scrape(ctx, client, d2.SectionHealth)
 		if err != nil {
 			return err
 		}
@@ -98,7 +96,7 @@ func runWatch(ctx context.Context, client *d2.Client, interval time.Duration, n 
 }
 
 // printWatchTable renders one watch refresh.
-func printWatchTable(nodes []d2.NodeHealth) {
+func printWatchTable(nodes []d2.NodeReport) {
 	fmt.Printf("d2 watch — %d nodes — %s\n\n", len(nodes), time.Now().Format("15:04:05"))
 	fmt.Printf("%-22s %-9s %8s %10s %9s %9s %6s %8s %6s  %s\n",
 		"ADDR", "STATE", "BLOCKS", "STORED", "RPC/S", "WIRE/S", "POOL", "DEFICIT", "FRAG", "WORST CHECK")
@@ -136,5 +134,6 @@ func printWatchTable(nodes []d2.NodeHealth) {
 		fmt.Printf("%-22s %-9s %8d %10s %9.1f %8s/s %6d %8d %6s  %s\n",
 			nd.Self.Addr, nd.State, nd.Blocks, fmtBytes(nd.StoredBytes),
 			rps, fmtBytes(int64(wire)), pool, deficit, frag, worst)
+		printReportErr(nd)
 	}
 }

@@ -11,17 +11,37 @@ import (
 	"github.com/defragdht/d2/internal/stats"
 )
 
-// runStats scrapes every ring member (StatsReq over the DHT transport),
-// merges the snapshots with the local client's own, and prints a
-// cluster-wide summary: totals, the §10 load-imbalance metric, the lookup
-// cache hit rate, and per-RPC latency percentiles.
-func runStats(ctx context.Context, client *d2.Client) error {
-	nodes, err := client.ClusterStats(ctx)
+// scrape walks the ring once for the given report sections — the one
+// data source of every cluster view.
+func scrape(ctx context.Context, client *d2.Client, sections d2.ReportSections) ([]d2.NodeReport, error) {
+	nodes, err := client.NodeReports(ctx, sections)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(nodes) == 0 {
-		return fmt.Errorf("no reachable nodes")
+		return nil, fmt.Errorf("no reachable nodes")
+	}
+	return nodes, nil
+}
+
+// printReportErr flags a node whose report sections failed to decode,
+// on the line under its table row, so a malformed section never passes
+// for a node without that subsystem.
+func printReportErr(n d2.NodeReport) {
+	if n.Err != nil {
+		fmt.Printf("  ! %s: report error: %v\n", n.Self.Addr, n.Err)
+	}
+}
+
+// runStats scrapes every ring member's metrics and census sections in
+// one ring walk, merges the snapshots with the local client's own, and
+// prints a cluster-wide summary: totals, the §10 load-imbalance metric,
+// the placement census, the lookup cache hit rate, and per-RPC latency
+// percentiles.
+func runStats(ctx context.Context, client *d2.Client) error {
+	nodes, err := scrape(ctx, client, d2.SectionMetrics|d2.SectionCensus)
+	if err != nil {
+		return err
 	}
 
 	snaps := make([]obs.Snapshot, 0, len(nodes)+1)
@@ -32,6 +52,7 @@ func runStats(ctx context.Context, client *d2.Client) error {
 		stored += n.StoredBytes
 		blocks += n.Blocks
 		loads = append(loads, float64(n.RespBytes))
+		printReportErr(n)
 	}
 	// The client's own registry carries the lookup-cache counters (§5
 	// caching happens client-side) and its per-RPC latency view.
@@ -43,9 +64,9 @@ func runStats(ctx context.Context, client *d2.Client) error {
 	fmt.Printf("load imbalance (stddev/mean of primary load, §10): %.3f\n",
 		stats.NormStdDev(loads))
 
-	// One extra scrape builds the cluster-level census view (§5 locality
-	// and frag ratio are cross-node properties a summed gauge can't give).
-	if _, cc, err := client.ClusterCensus(ctx); err == nil && cc != nil && cc.TotalFiles > 0 {
+	// The census section builds the cluster-level view (§5 locality and
+	// frag ratio are cross-node properties a summed gauge can't give).
+	if cc := d2.CensusCluster(nodes); cc.TotalFiles > 0 {
 		fmt.Printf("placement census: %.3f runs/file, locality %.3f, %d files, %d stale pointers (%s)\n",
 			cc.FragRatio, cc.Locality, cc.TotalFiles, cc.StalePointers, cc.State)
 	}
@@ -71,12 +92,9 @@ func runStats(ctx context.Context, client *d2.Client) error {
 
 // runTop prints a per-node hotspot table sorted by primary load.
 func runTop(ctx context.Context, client *d2.Client) error {
-	nodes, err := client.ClusterStats(ctx)
+	nodes, err := scrape(ctx, client, d2.SectionMetrics)
 	if err != nil {
 		return err
-	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("no reachable nodes")
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].RespBytes > nodes[j].RespBytes })
 
@@ -106,6 +124,7 @@ func runTop(ctx context.Context, client *d2.Client) error {
 			n.Snapshot.Gauges["d2_tcp_pool_conns"],
 			n.Snapshot.Counters["d2_tcp_pool_failfast_total"],
 			wal, locality)
+		printReportErr(n)
 	}
 	return nil
 }

@@ -281,7 +281,8 @@ func StartNode(ctx context.Context, bind, seed string, opts NodeOptions) (*Node,
 		return nil, fmt.Errorf("d2: start node: %w", err)
 	}
 	// One registry covers the node and its transport, so a single scrape
-	// (StatsReq or the admin HTTP page) sees both layers.
+	// (a node report's metrics section or the admin HTTP page) sees both
+	// layers.
 	reg := obs.New()
 	events := obs.NewEventLog(1024)
 	events.CountDrops(reg.Counter("d2_events_dropped_total"))
@@ -314,9 +315,9 @@ func StartNode(ctx context.Context, bind, seed string, opts NodeOptions) (*Node,
 		cfg.Store = ds
 	}
 
-	// The health engine samples the shared registry and answers HealthReq
-	// and /healthz. The node itself can't depend on the engine's
-	// lifecycle, so the wiring lives here.
+	// The health engine samples the shared registry and fills the node
+	// report's health section and /healthz. The node itself can't depend
+	// on the engine's lifecycle, so the wiring lives here.
 	engine := history.New(history.Config{
 		Registry:     reg,
 		Events:       events,
@@ -624,45 +625,37 @@ func (c *Client) TraceSpans() []TraceRecord { return c.inner.Tracer().Sink().Spa
 // per-RPC latency when on TCP).
 func (c *Client) MetricsSnapshot() obs.Snapshot { return c.inner.Metrics().Snapshot() }
 
-// NodeStats is one cluster node's scraped load and metrics state.
-type NodeStats = node.NodeStats
+// NodeReport is one ring member's report: identity, ring neighbors, and
+// health state, plus load and the sections asked for when any was.
+type NodeReport = node.NodeReport
 
-// RingMember is one node discovered by a ring walk.
-type RingMember = node.RingMember
+// ReportSections selects the optional parts of a node report.
+type ReportSections = transport.Sections
 
-// WalkRing enumerates the ring in successor order from the first
-// reachable seed.
-func (c *Client) WalkRing(ctx context.Context) ([]RingMember, error) {
-	return c.inner.WalkRing(ctx)
+// The node-report sections: the metrics snapshot (d2ctl stats/top), the
+// health status and rates (watch/doctor), and the placement census
+// (frag/map).
+const (
+	SectionMetrics = transport.SectionMetrics
+	SectionHealth  = transport.SectionHealth
+	SectionCensus  = transport.SectionCensus
+)
+
+// NodeReports walks the ring once and returns every reachable member's
+// report, with the asked-for sections, in ID order. No sections makes it
+// a plain ring walk.
+func (c *Client) NodeReports(ctx context.Context, sections ReportSections) ([]NodeReport, error) {
+	return c.inner.NodeReports(ctx, sections)
 }
-
-// ClusterStats scrapes every ring member's metrics snapshot and load
-// accounting (the d2ctl stats/top data source).
-func (c *Client) ClusterStats(ctx context.Context) ([]NodeStats, error) {
-	return c.inner.ClusterStats(ctx)
-}
-
-// NodeHealth is one ring member's scraped health state.
-type NodeHealth = node.NodeHealth
 
 // ClusterReport is the doctor's cluster-level health document.
 type ClusterReport = history.ClusterReport
 
-// ClusterHealth scrapes every ring member's health verdict, status, and
-// derived rates (the d2ctl watch data source).
-func (c *Client) ClusterHealth(ctx context.Context) ([]NodeHealth, error) {
-	return c.inner.ClusterHealth(ctx)
-}
-
-// ClusterDoctor gathers cluster health and evaluates cluster-level
-// checks — §10 load imbalance plus every member's failing or degraded
-// check, naming the node responsible (the d2ctl doctor data source).
-func (c *Client) ClusterDoctor(ctx context.Context) (ClusterReport, error) {
-	return c.inner.ClusterReport(ctx)
-}
-
-// NodeCensus is one ring member's placement-census report.
-type NodeCensus = node.NodeCensus
+// DoctorReport evaluates cluster-level checks over reports carrying the
+// health section — §10 load imbalance plus every member's failing or
+// degraded check, naming the node responsible (the d2ctl doctor
+// document).
+func DoctorReport(reports []NodeReport) ClusterReport { return node.DoctorReport(reports) }
 
 // CensusReport is a single node's placement census (blocks and bytes by
 // role, per-volume run-length histograms).
@@ -673,12 +666,9 @@ type CensusReport = census.Report
 // and replica-placement spread.
 type ClusterCensusReport = census.Cluster
 
-// ClusterCensus scrapes every ring member's placement census and merges
-// the reports into cluster-wide placement metrics (the d2ctl frag/map
-// data source).
-func (c *Client) ClusterCensus(ctx context.Context) ([]NodeCensus, *ClusterCensusReport, error) {
-	return c.inner.ClusterCensus(ctx)
-}
+// CensusCluster merges the census sections of reports into cluster-wide
+// placement metrics (the d2ctl frag/map document).
+func CensusCluster(reports []NodeReport) *ClusterCensusReport { return node.CensusCluster(reports) }
 
 // Close releases the client.
 func (c *Client) Close() error { return c.inner.Close() }

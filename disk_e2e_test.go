@@ -263,7 +263,7 @@ func waitRing(t *testing.T, ctx context.Context, client *d2.Client, n int) {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		wctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-		members, err := client.WalkRing(wctx)
+		members, err := client.NodeReports(wctx, 0)
 		cancel()
 		if err == nil && len(members) == n {
 			return

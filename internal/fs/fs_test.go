@@ -400,3 +400,62 @@ func TestManyFilesAndDirs(t *testing.T) {
 		t.Fatalf("spot check = (%q, %v)", data, err)
 	}
 }
+
+// rootVersions returns the stored root before and after one file write,
+// plus a forgery of the newer root with its Version raised (its
+// signature no longer verifies).
+func rootVersions(t *testing.T) (v *Volume, old, newer, forged []byte) {
+	t.Helper()
+	v, svc := newTestVolume(t)
+	ctx := context.Background()
+	svc.mu.Lock()
+	old = svc.blocks[v.rootKey()]
+	svc.mu.Unlock()
+	if err := v.WriteFile(ctx, "/f", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	newer = svc.blocks[v.rootKey()]
+	svc.mu.Unlock()
+	r, err := decodeRoot(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Version += 10
+	return v, old, newer, encodeRoot(&r)
+}
+
+func TestNewerRootOrder(t *testing.T) {
+	v, old, newer, forged := rootVersions(t)
+	k := v.rootKey()
+	_, other, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := Create(context.Background(), newMemService(), "testvol", other, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignRoot := encodeRoot(foreign.root)
+	cases := []struct {
+		name           string
+		held, incoming []byte
+		want           bool
+	}{
+		{"newer replaces older", old, newer, true},
+		{"older keeps newer", newer, old, false},
+		{"same version replaces", newer, newer, true},
+		{"forged keeps valid", newer, forged, false},
+		{"garbage keeps valid", newer, []byte("garbage"), false},
+		{"other volume's root keeps valid", old, foreignRoot, false},
+		{"anything replaces garbage", []byte("garbage"), old, true},
+	}
+	for _, c := range cases {
+		if got := NewerRoot(k, c.held, c.incoming); got != c.want {
+			t.Errorf("%s: NewerRoot = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -272,14 +272,43 @@ func (v *Volume) fetchRoot(ctx context.Context) (*RootBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := root.signablePayload()
-	if err != nil {
-		return nil, err
-	}
-	if !ed25519.Verify(v.pub, payload, root.Signature) {
+	if !root.signedBy(v.pub) {
 		return nil, ErrBadSig
 	}
 	return &root, nil
+}
+
+// signedBy reports whether the root's signature verifies under pub.
+func (r *RootBlock) signedBy(pub ed25519.PublicKey) bool {
+	payload, err := r.signablePayload()
+	return err == nil && len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, payload, r.Signature)
+}
+
+// NewerRoot is the storage nodes' version order for the in-place root
+// block stored under k. When held is a root block of k's volume, signed
+// by the publisher key it carries, only such a root with a Version no
+// lower replaces it; a held block that is not one is always replaced.
+// The usual case, a signed newer root, costs one signature check.
+func NewerRoot(k keys.Key, held, incoming []byte) bool {
+	old, ok := volumeRoot(k, held)
+	if !ok {
+		return true
+	}
+	if in, ok := volumeRoot(k, incoming); ok && in.Version >= old.Version && in.signedBy(in.PublicKey) {
+		return true
+	}
+	return !old.signedBy(old.PublicKey)
+}
+
+// volumeRoot decodes data as a root block of k's volume: the public key
+// it carries must, with the volume name, derive k's volume ID. The
+// signature is left to the caller.
+func volumeRoot(k keys.Key, data []byte) (*RootBlock, bool) {
+	root, err := decodeRoot(data)
+	if err != nil || keys.NewVolumeID(root.PublicKey, root.Name) != k.Volume() {
+		return nil, false
+	}
+	return &root, true
 }
 
 // currentRoot returns the writer's root or a freshly fetched one.

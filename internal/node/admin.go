@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -17,235 +18,174 @@ import (
 // otherwise loop forever through stale entries).
 const maxRingWalk = 4096
 
-// RingMember is one node discovered by a ring walk.
-type RingMember struct {
+// NodeReport is one ring member's decoded report: identity, ring
+// neighbors, and health state always; load and the asked-for sections
+// when any section was asked.
+type NodeReport struct {
 	Self  transport.PeerInfo
 	Pred  transport.PeerInfo
 	Succs []transport.PeerInfo
-}
-
-// WalkRing enumerates the ring by following successor pointers from the
-// first reachable seed until the walk returns to its start. Nodes are
-// returned in ring order starting at the entry node.
-func (c *Client) WalkRing(ctx context.Context) ([]RingMember, error) {
-	var start transport.PeerInfo
-	var lastErr error
-	for _, seed := range c.seeds {
-		resp, err := transport.Expect[*transport.NeighborsResp](
-			c.call(ctx, seed, &transport.NeighborsReq{}))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		start = resp.Self
-		break
-	}
-	if start.IsZero() {
-		return nil, fmt.Errorf("node: no reachable seed: %w", lastErr)
-	}
-
-	var members []RingMember
-	seen := make(map[transport.Addr]bool)
-	cur := start
-	for len(members) < maxRingWalk {
-		if seen[cur.Addr] {
-			break // closed the ring (or hit a successor loop)
-		}
-		resp, err := transport.Expect[*transport.NeighborsResp](
-			c.call(ctx, cur.Addr, &transport.NeighborsReq{}))
-		if err != nil {
-			// Skip a dead member by stepping through the previous node's
-			// successor list.
-			next, ok := nextAfter(members, cur, seen)
-			if !ok {
-				break
-			}
-			cur = next
-			continue
-		}
-		seen[cur.Addr] = true
-		members = append(members, RingMember{
-			Self: resp.Self, Pred: resp.Pred, Succs: resp.Succs,
-		})
-		if len(resp.Succs) == 0 {
-			break
-		}
-		cur = resp.Succs[0]
-	}
-	return members, nil
-}
-
-// nextAfter finds an unvisited fallback successor when the walk's current
-// node is unreachable.
-func nextAfter(members []RingMember, dead transport.PeerInfo, seen map[transport.Addr]bool) (transport.PeerInfo, bool) {
-	if len(members) == 0 {
-		return transport.PeerInfo{}, false
-	}
-	for _, p := range members[len(members)-1].Succs {
-		if !seen[p.Addr] && p.Addr != dead.Addr {
-			return p, true
-		}
-	}
-	return transport.PeerInfo{}, false
-}
-
-// NodeStats is one node's scraped observability state.
-type NodeStats struct {
-	Self        transport.PeerInfo
-	Pred        transport.PeerInfo
+	// RespBytes is the primary-responsibility load (§6), StoredBytes the
+	// total stored volume, and Blocks the store entry count (all zero in
+	// a walk with no sections).
 	RespBytes   int64
 	StoredBytes int64
 	Blocks      int64
-	Snapshot    obs.Snapshot
-}
-
-// ClusterStats scrapes every ring member's metrics via the StatsReq RPC,
-// returning per-node stats in ring order. Unreachable members are skipped.
-func (c *Client) ClusterStats(ctx context.Context) ([]NodeStats, error) {
-	members, err := c.WalkRing(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out []NodeStats
-	for _, m := range members {
-		resp, err := transport.Expect[*transport.StatsResp](
-			c.call(ctx, m.Self.Addr, &transport.StatsReq{}))
-		if err != nil {
-			continue
-		}
-		ns := NodeStats{
-			Self:        resp.Self,
-			Pred:        resp.Pred,
-			RespBytes:   resp.RespBytes,
-			StoredBytes: resp.StoredBytes,
-			Blocks:      resp.Blocks,
-		}
-		if len(resp.SnapshotJSON) > 0 {
-			_ = json.Unmarshal(resp.SnapshotJSON, &ns.Snapshot)
-		}
-		out = append(out, ns)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Self.ID.Less(out[j].Self.ID) })
-	return out, nil
-}
-
-// NodeHealth is one ring member's scraped health state.
-type NodeHealth struct {
-	Self        transport.PeerInfo
-	Pred        transport.PeerInfo
-	RespBytes   int64
-	StoredBytes int64
-	Blocks      int64
-	// State is the node's own verdict ("unknown" for engine-less nodes).
+	// State is the node's own health verdict ("unknown" for nodes
+	// without a health engine).
 	State string
-	// Status and Rates are the node's history documents (nil without an
-	// engine).
+	// Snapshot is the metrics section (zero unless asked for).
+	Snapshot obs.Snapshot
+	// Status and Rates are the health section (nil unless asked for and
+	// the node runs a health engine).
 	Status *history.Status
 	Rates  *history.Rates
+	// Census is the census section (nil unless asked for and the node
+	// runs a census sweeper).
+	Census *census.Report
+	// Err names the sections that failed to decode; the others are
+	// still filled in.
+	Err error
 }
 
-// ClusterHealth scrapes every ring member's health via the HealthReq
-// RPC, returning per-node health in ID order. Unreachable members are
-// skipped — the doctor detects their absence through the survivors'
-// replica-deficit checks, not through the walk itself.
-func (c *Client) ClusterHealth(ctx context.Context) ([]NodeHealth, error) {
-	members, err := c.WalkRing(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out []NodeHealth
-	for _, m := range members {
-		resp, err := transport.Expect[*transport.HealthResp](
-			c.call(ctx, m.Self.Addr, &transport.HealthReq{}))
-		if err != nil {
-			continue
+// NodeReports walks the ring once, asking every member for the given
+// sections, and returns the reports in ID order. The walk follows each
+// report's successor list, so it costs one RPC per live member plus one
+// per dead member it steps over. A dead member is skipped through the
+// previous member's successor list; the doctor detects its absence
+// through the survivors' replica-deficit checks, not through the walk.
+func (c *Client) NodeReports(ctx context.Context, sections transport.Sections) ([]NodeReport, error) {
+	req := &transport.NodeReportReq{Sections: sections}
+	var resp *transport.NodeReportResp
+	var err error
+	for _, seed := range c.seeds {
+		resp, err = transport.Expect[*transport.NodeReportResp](c.call(ctx, seed, req))
+		if err == nil {
+			break
 		}
-		out = append(out, NodeHealth{
-			Self:        resp.Self,
-			Pred:        resp.Pred,
-			RespBytes:   resp.RespBytes,
-			StoredBytes: resp.StoredBytes,
-			Blocks:      resp.Blocks,
-			State:       resp.State,
-			Status:      history.ParseStatus(resp.StatusJSON),
-			Rates:       history.ParseRates(resp.RatesJSON),
-		})
+	}
+	if resp == nil {
+		return nil, fmt.Errorf("node: no reachable seed: %w", err)
+	}
+
+	var out []NodeReport
+	visited := make(map[transport.Addr]bool)
+	dead := make(map[transport.Addr]bool)
+	for resp != nil && len(out) < maxRingWalk {
+		visited[resp.Self.Addr] = true
+		out = append(out, decodeReport(resp))
+		resp = c.nextReport(ctx, req, resp.Succs, visited, dead)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Self.ID.Less(out[j].Self.ID) })
 	return out, nil
 }
 
-// ClusterReport gathers ClusterHealth and evaluates cluster-level checks
-// (§10 load imbalance, worst member state, per-node problems) — the
-// document behind `d2ctl doctor`.
-func (c *Client) ClusterReport(ctx context.Context) (history.ClusterReport, error) {
-	nodes, err := c.ClusterHealth(ctx)
-	if err != nil {
-		return history.ClusterReport{}, err
-	}
-	members := make([]history.ClusterNode, 0, len(nodes))
-	for _, n := range nodes {
-		members = append(members, history.ClusterNode{
-			Addr:        string(n.Self.Addr),
-			State:       n.State,
-			RespBytes:   n.RespBytes,
-			StoredBytes: n.StoredBytes,
-			Blocks:      n.Blocks,
-			Status:      n.Status,
-			Rates:       n.Rates,
-		})
-	}
-	return history.BuildClusterReport(members), nil
-}
-
-// NodeCensus is one ring member's scraped placement census.
-type NodeCensus struct {
-	Self        transport.PeerInfo
-	Pred        transport.PeerInfo
-	RespBytes   int64
-	StoredBytes int64
-	Blocks      int64
-	// Report is the node's census document (nil when the node runs
-	// without a sweeper).
-	Report *census.Report
-}
-
-// ClusterCensus scrapes every ring member's placement census via the
-// CensusReq RPC and merges the per-node reports into the §5-style
-// cluster metrics (locality score, per-volume fragmentation, §10
-// imbalance, replica spread). Per-node details ride along in ID order;
-// unreachable members are skipped.
-func (c *Client) ClusterCensus(ctx context.Context) ([]NodeCensus, *census.Cluster, error) {
-	members, err := c.WalkRing(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []NodeCensus
-	for _, m := range members {
-		resp, err := transport.Expect[*transport.CensusResp](
-			c.call(ctx, m.Self.Addr, &transport.CensusReq{}))
-		if err != nil {
+// nextReport asks the walk's next member for its report: the first
+// successor, or — when that one is dead — the next live entry of the
+// successor list. It returns nil once the first successor was already
+// visited (the walk closed the ring) or no entry answers.
+func (c *Client) nextReport(ctx context.Context, req *transport.NodeReportReq, succs []transport.PeerInfo, visited, dead map[transport.Addr]bool) *transport.NodeReportResp {
+	for i, p := range succs {
+		if visited[p.Addr] {
+			if i == 0 {
+				return nil
+			}
 			continue
 		}
-		out = append(out, NodeCensus{
-			Self:        resp.Self,
-			Pred:        resp.Pred,
-			RespBytes:   resp.RespBytes,
-			StoredBytes: resp.StoredBytes,
-			Blocks:      resp.Blocks,
-			Report:      census.ParseReport(resp.ReportJSON),
+		if dead[p.Addr] {
+			continue
+		}
+		resp, err := transport.Expect[*transport.NodeReportResp](c.call(ctx, p.Addr, req))
+		if err == nil {
+			return resp
+		}
+		dead[p.Addr] = true
+	}
+	return nil
+}
+
+// decodeReport unpacks a report's JSON sections. A section that fails to
+// decode stays unset and is named in Err, so a malformed blob never reads
+// as a node without that subsystem.
+func decodeReport(r *transport.NodeReportResp) NodeReport {
+	rep := NodeReport{
+		Self:        r.Self,
+		Pred:        r.Pred,
+		Succs:       r.Succs,
+		RespBytes:   r.RespBytes,
+		StoredBytes: r.StoredBytes,
+		Blocks:      r.Blocks,
+		State:       r.State,
+	}
+	var snap *obs.Snapshot
+	rep.Err = errors.Join(
+		decodeSection("metrics", r.MetricsJSON, &snap),
+		decodeSection("health status", r.StatusJSON, &rep.Status),
+		decodeSection("health rates", r.RatesJSON, &rep.Rates),
+		decodeSection("census", r.CensusJSON, &rep.Census),
+	)
+	if snap != nil {
+		rep.Snapshot = *snap
+	}
+	return rep
+}
+
+// decodeSection unmarshals one section blob into a fresh *dst, leaving
+// *dst nil when the blob is empty (section not asked for or not running).
+func decodeSection[T any](name string, blob []byte, dst **T) error {
+	if len(blob) == 0 {
+		return nil
+	}
+	v := new(T)
+	if err := json.Unmarshal(blob, v); err != nil {
+		return fmt.Errorf("%s section: %w", name, err)
+	}
+	*dst = v
+	return nil
+}
+
+// errString renders a report error for the JSON documents ("" for nil).
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// DoctorReport evaluates the doctor's cluster-level checks (§10 load
+// imbalance, worst member state, per-node problems) over reports that
+// carry the health section — the document behind `d2ctl doctor`.
+func DoctorReport(reports []NodeReport) history.ClusterReport {
+	members := make([]history.ClusterNode, 0, len(reports))
+	for _, r := range reports {
+		members = append(members, history.ClusterNode{
+			Addr:        string(r.Self.Addr),
+			State:       r.State,
+			RespBytes:   r.RespBytes,
+			StoredBytes: r.StoredBytes,
+			Blocks:      r.Blocks,
+			Status:      r.Status,
+			Rates:       r.Rates,
+			Err:         errString(r.Err),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Self.ID.Less(out[j].Self.ID) })
-	reports := make([]census.NodeReport, 0, len(out))
-	for _, n := range out {
-		reports = append(reports, census.NodeReport{
-			Addr: string(n.Self.Addr),
-			ID:   n.Self.ID.Short(),
-			Rep:  n.Report,
+	return history.BuildClusterReport(members)
+}
+
+// CensusCluster merges the census sections of reports into the §5-style
+// cluster metrics (locality score, per-volume fragmentation, §10
+// imbalance, replica spread) — the document behind `d2ctl frag/map`.
+func CensusCluster(reports []NodeReport) *census.Cluster {
+	nodes := make([]census.NodeReport, 0, len(reports))
+	for _, r := range reports {
+		nodes = append(nodes, census.NodeReport{
+			Addr: string(r.Self.Addr),
+			ID:   r.Self.ID.Short(),
+			Rep:  r.Census,
+			Err:  errString(r.Err),
 		})
 	}
-	return out, census.BuildCluster(reports), nil
+	return census.BuildCluster(nodes)
 }
 
 // FetchClusterTrace scrapes every ring member's span sink for one trace
@@ -258,7 +198,7 @@ func (c *Client) FetchClusterTrace(ctx context.Context, trace uint64) ([]tracing
 	if trace == 0 {
 		return nil, fmt.Errorf("node: FetchClusterTrace needs a trace ID")
 	}
-	members, err := c.WalkRing(ctx)
+	members, err := c.NodeReports(ctx, 0)
 	if err != nil {
 		return nil, err
 	}

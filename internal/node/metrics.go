@@ -22,6 +22,7 @@ type nodeMetrics struct {
 	repairPushes   *obs.Counter // blocks pushed to successors by repair
 	replicaDeficit *obs.Gauge   // replica slots the last repair round left unfilled
 	handoffs       *obs.Counter // blocks handed to their primary and dropped
+	staleRefused   *obs.Counter // in-place puts refused as older than the held copy
 	rejoins        *obs.Counter // ring re-entries after successor collapse
 	succDrops      *obs.Counter // successors dropped as dead or moved
 	removals       *obs.Counter // delayed removals scheduled (§3)
@@ -44,6 +45,7 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		repairPushes:   reg.Counter("d2_node_repair_pushes_total"),
 		replicaDeficit: reg.Gauge("d2_node_replica_deficit"),
 		handoffs:       reg.Counter("d2_node_handoffs_total"),
+		staleRefused:   reg.Counter("d2_node_stale_puts_refused_total"),
 		rejoins:        reg.Counter("d2_node_rejoins_total"),
 		succDrops:      reg.Counter("d2_node_succ_drops_total"),
 		removals:       reg.Counter("d2_node_removals_scheduled_total"),

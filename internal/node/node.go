@@ -67,9 +67,9 @@ type Config struct {
 	// tracing (the tracing API is nil-safe). Start also attaches it to
 	// the transport when the transport supports per-endpoint tracers.
 	Tracer *tracing.Tracer
-	// Health is the node's cluster-health engine; when set, HealthReq
-	// RPCs answer with its status and rates documents (nil nodes answer
-	// State "unknown"). The engine's lifecycle belongs to the caller.
+	// Health is the node's cluster-health engine; when set, node reports
+	// carry its state and its status and rates documents (nil nodes
+	// answer State "unknown"). The engine's lifecycle belongs to the caller.
 	Health *history.Engine
 	// CensusInterval drives the placement-census sweep (default 5 s;
 	// negative disables the census entirely). The sweeper walks the
@@ -122,6 +122,10 @@ type Node struct {
 	cfg Config
 	tr  transport.Transport
 	st  store.Engine
+
+	// inPlaceMu makes the version check of an in-place put and the put
+	// one step (see store).
+	inPlaceMu sync.Mutex
 
 	mu    sync.Mutex
 	self  transport.PeerInfo

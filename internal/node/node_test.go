@@ -1,12 +1,16 @@
 package node
 
 import (
+	"bytes"
 	"context"
+	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"github.com/defragdht/d2/internal/fs"
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -61,6 +65,77 @@ func waitConverged(t testing.TB, nodes []*Node, timeout time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// waitUntil polls cond for up to 10 s.
+func waitUntil(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// byID returns the nodes sorted by ring position.
+func byID(nodes []*Node) []*Node {
+	sorted := append([]*Node(nil), nodes...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Self().ID.Less(sorted[j].Self().ID) })
+	return sorted
+}
+
+// succListsConverged reports whether every node's successor list names
+// the next nodes in ID order. ringConsistent checks only first
+// successors; replication and repair use the whole list.
+func succListsConverged(nodes []*Node) bool {
+	sorted := byID(nodes)
+	for i, nd := range sorted {
+		_, succs := nd.Neighbors()
+		want := min(nd.cfg.SuccListLen, len(sorted)-1)
+		if len(succs) < want {
+			return false
+		}
+		for j := 0; j < want; j++ {
+			if succs[j].Addr != sorted[(i+1+j)%len(sorted)].Self().Addr {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// replicaHolders returns k's r holders in ID order from the owner: the
+// first node at or after k, then the r-1 nodes after it.
+func replicaHolders(nodes []*Node, k keys.Key, r int) []*Node {
+	sorted := byID(nodes)
+	owner := 0 // wraps to the lowest ID when k is past the highest
+	for i, nd := range sorted {
+		if !nd.Self().ID.Less(k) {
+			owner = i
+			break
+		}
+	}
+	holders := make([]*Node, r)
+	for i := range holders {
+		holders[i] = sorted[(owner+i)%len(sorted)]
+	}
+	return holders
+}
+
+// onReplicaHolders reports whether k's data sits on exactly its r
+// holders.
+func onReplicaHolders(nodes []*Node, k keys.Key, r int) bool {
+	holders := replicaHolders(nodes, k, r)
+	for _, nd := range nodes {
+		b, ok := nd.Store().Get(k)
+		held := ok && !b.IsPointer()
+		if held != slices.Contains(holders, nd) {
+			return false
+		}
+	}
+	return true
 }
 
 // ringConsistent checks that following first successors visits every node
@@ -492,21 +567,32 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 		return held
 	}
 
-	// Converge: every key reaches r copies.
+	// Converge: every successor list names the next nodes in ID order,
+	// and every key sits on exactly its r holders. Counting copies alone
+	// is not enough: while successor lists still lag, primaries forward
+	// and repair-push to the wrong nodes, and the handoff of such an
+	// extra copy is legitimate cleanup, not ping-pong.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		short := -1
-		for i, k := range ks {
-			if copies(k) < 3 {
-				short = i
-				break
+		misplaced := -1
+		if succListsConverged(nodes) {
+			for i, k := range ks {
+				if !onReplicaHolders(nodes, k, 3) {
+					misplaced = i
+					break
+				}
 			}
+		} else {
+			misplaced = len(ks)
 		}
-		if short < 0 {
+		if misplaced < 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("key %d stuck at %d copies, want 3", short, copies(ks[short]))
+			if misplaced == len(ks) {
+				t.Fatal("successor lists never converged")
+			}
+			t.Fatalf("key %d never settled on its 3 holders (%d copies)", misplaced, copies(ks[misplaced]))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -531,4 +617,110 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 			t.Fatalf("key dropped to %d copies in steady state", got)
 		}
 	}
+}
+
+// rootTap is a volume block service over a Client that keeps the root
+// block's writes (one per commit) instead of storing them, so a test can
+// place each root version itself.
+type rootTap struct {
+	*Client
+	root  keys.Key
+	roots [][]byte
+}
+
+func (r *rootTap) Put(ctx context.Context, k keys.Key, data []byte) error {
+	if k == r.root {
+		r.roots = append(r.roots, data)
+		return nil
+	}
+	return r.Client.Put(ctx, k, data)
+}
+
+// TestStaleRootHandoffCannotRollBack plants a copy of a volume's root on
+// a node outside the root's replica group, as churn does, and lets
+// repair hand it off. An older copy must not overwrite the holders'
+// newer root, even at an owner that lost its copy; a newer copy must
+// replace theirs.
+func TestStaleRootHandoffCannotRollBack(t *testing.T) {
+	net := transport.NewMemNetwork(0)
+	nodes := startRing(t, net, 5, nil)
+	defer closeAll(t, nodes)
+	c := newClient(t, net, nodes)
+	defer c.Close()
+
+	ctx := context.Background()
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &rootTap{Client: c, root: keys.Encode(keys.NewVolumeID(pub, "vol"), keys.PathCode{}, 0, 0)}
+	vol, err := fs.Create(ctx, tap, "vol", priv, fs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"/a", "/b"} {
+		if err := vol.WriteFile(ctx, name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := vol.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tap.roots) != 3 {
+		t.Fatalf("tapped %d root versions, want 3", len(tap.roots))
+	}
+	older, current, newer := tap.roots[0], tap.roots[1], tap.roots[2]
+	k := tap.root
+
+	if err := c.Put(ctx, k, current); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the root on its 3 holders", func() bool {
+		return succListsConverged(nodes) && onReplicaHolders(nodes, k, 3)
+	})
+	holders := replicaHolders(nodes, k, 3)
+	var outsider *Node
+	for _, nd := range nodes {
+		if !slices.Contains(holders, nd) {
+			outsider = nd
+			break
+		}
+	}
+	holding := func(want []byte) bool {
+		for _, nd := range holders {
+			if b, ok := nd.Store().Get(k); !ok || !bytes.Equal(b.Data, want) {
+				return false
+			}
+		}
+		return true
+	}
+	handedOff := func() bool { _, ok := outsider.Store().Get(k); return !ok }
+	refused := func() (sum uint64) {
+		for _, nd := range holders {
+			sum += nd.metrics.staleRefused.Value()
+		}
+		return sum
+	}
+
+	outsider.Store().Put(k, older, 0, time.Now())
+	waitUntil(t, "the older root's handoff", handedOff)
+	if !holding(current) {
+		t.Fatal("a stale root handoff rolled the holders' root back")
+	}
+	if refused() == 0 {
+		t.Error("no holder counted a refused stale root")
+	}
+
+	// An owner without the root takes its successors' newer copy over
+	// the older one handed to it.
+	holders[0].Store().Delete(k)
+	outsider.Store().Put(k, older, 0, time.Now())
+	waitUntil(t, "the older root's second handoff", handedOff)
+	if !holding(current) {
+		t.Fatal("an owner without the root adopted the older handed-off copy")
+	}
+
+	outsider.Store().Put(k, newer, 0, time.Now())
+	waitUntil(t, "the newer root's handoff", handedOff)
+	waitUntil(t, "the newer root on every holder", func() bool { return holding(newer) })
 }

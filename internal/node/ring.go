@@ -50,12 +50,8 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req transport.
 		return n.handleRange(r), nil
 	case *transport.SampleReq:
 		return n.handleSample(ctx, r), nil
-	case *transport.StatsReq:
-		return n.handleStats(), nil
-	case *transport.HealthReq:
-		return n.handleHealth(), nil
-	case *transport.CensusReq:
-		return n.handleCensus(), nil
+	case *transport.NodeReportReq:
+		return n.report(r.Sections)
 	case *transport.TraceFetchReq:
 		return n.handleTraceFetch(r), nil
 	default:
@@ -63,60 +59,40 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req transport.
 	}
 }
 
-// handleStats answers the admin plane's scrape: load summary plus the
-// node's full metrics snapshot, JSON-encoded for obs.Merge at the scraper.
-func (n *Node) handleStats() transport.Message {
-	snap, err := json.Marshal(n.reg.Snapshot())
-	if err != nil {
-		snap = nil
+// report answers a NodeReportReq. The always-present part — identity,
+// ring neighbors, and health state — lets a ring walk both step on and
+// scrape with one RPC per node. The load header and the asked-for
+// sections ride along only when some section is asked: RespBytes scans
+// the primary arc, which a bare walk must not pay on every node.
+// Sections the node does not run (no health engine, census disabled)
+// stay nil, and State reads "unknown" without a health engine.
+func (n *Node) report(sections transport.Sections) (transport.Message, error) {
+	r := &transport.NodeReportResp{Self: n.Self(), State: "unknown"}
+	r.Pred, r.Succs = n.Neighbors()
+	if sections != 0 {
+		r.RespBytes = n.RespBytes()
+		r.StoredBytes = n.StoredBytes()
+		r.Blocks = int64(n.st.Len())
 	}
-	return &transport.StatsResp{
-		Self:         n.Self(),
-		Pred:         n.Predecessor(),
-		RespBytes:    n.RespBytes(),
-		StoredBytes:  n.StoredBytes(),
-		Blocks:       int64(n.st.Len()),
-		SnapshotJSON: snap,
+	e := n.cfg.Health
+	if e != nil {
+		r.State = e.State().String()
 	}
-}
-
-// handleHealth answers the health engine's scrape: the node's verdict
-// and derived-rate documents plus the load summary the doctor needs for
-// the cluster-level §10 imbalance check. Nodes without an engine (bare
-// test clusters) answer "unknown" with nil documents.
-func (n *Node) handleHealth() transport.Message {
-	resp := &transport.HealthResp{
-		Self:        n.Self(),
-		Pred:        n.Predecessor(),
-		RespBytes:   n.RespBytes(),
-		StoredBytes: n.StoredBytes(),
-		Blocks:      int64(n.st.Len()),
-		State:       "unknown",
+	if sections&transport.SectionMetrics != 0 {
+		snap, err := json.Marshal(n.reg.Snapshot())
+		if err != nil {
+			return nil, fmt.Errorf("node report: metrics section: %w", err)
+		}
+		r.MetricsJSON = snap
 	}
-	if e := n.cfg.Health; e != nil {
-		resp.State = e.State().String()
-		resp.StatusJSON = e.StatusJSON()
-		resp.RatesJSON = e.RatesJSON()
+	if sections&transport.SectionHealth != 0 && e != nil {
+		r.StatusJSON = e.StatusJSON()
+		r.RatesJSON = e.RatesJSON()
 	}
-	return resp
-}
-
-// handleCensus answers the placement-census scrape: the node's latest
-// sweep report plus the load summary, so d2ctl frag/map can compute
-// the §5 locality metrics and §10 imbalance in one ring walk. Nodes
-// without a sweeper (census disabled) answer with a nil report.
-func (n *Node) handleCensus() transport.Message {
-	resp := &transport.CensusResp{
-		Self:        n.Self(),
-		Pred:        n.Predecessor(),
-		RespBytes:   n.RespBytes(),
-		StoredBytes: n.StoredBytes(),
-		Blocks:      int64(n.st.Len()),
+	if sections&transport.SectionCensus != 0 && n.census != nil {
+		r.CensusJSON = n.census.ReportJSON()
 	}
-	if n.census != nil {
-		resp.ReportJSON = n.census.ReportJSON()
-	}
-	return resp
+	return r, nil
 }
 
 // owns reports whether this node owns key k: k ∈ (pred, self]. A node

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/defragdht/d2/internal/fs"
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
 	"github.com/defragdht/d2/internal/obs/tracing"
@@ -13,17 +14,59 @@ import (
 )
 
 // handlePut stores a replica; when Replicate is set (the primary's copy),
-// the block is forwarded to the r-1 following successors.
+// the block is forwarded to the r-1 following successors. A refused
+// root put (an older root) is acknowledged but not forwarded.
 func (n *Node) handlePut(ctx context.Context, r *transport.PutReq) transport.Message {
 	ttl := time.Duration(r.TTL) * time.Second
 	if ttl == 0 {
 		ttl = n.cfg.DefaultTTL
 	}
-	n.st.Put(r.Key, r.Data, ttl, time.Now())
+	data, ok := n.store(ctx, r.Key, r.Data, ttl, r.Replicate)
+	if !ok {
+		return &transport.PutResp{}
+	}
 	if r.Replicate {
-		n.forwardToReplicas(ctx, &transport.PutReq{Key: r.Key, Data: r.Data, TTL: r.TTL})
+		n.forwardToReplicas(ctx, &transport.PutReq{Key: r.Key, Data: data, TTL: r.TTL})
 	}
 	return &transport.PutResp{}
+}
+
+// store puts block data and returns what it stored. A version-0 key is
+// the in-place volume root (§3), which a put must never roll back: a
+// held root that fs.NewerRoot ranks newer than the incoming one stays
+// (store reports false), and a primary put that finds no root here
+// stores the newest of its own and its successors' copies — a new owner
+// can be handed an older root while its successors hold the newer one.
+func (n *Node) store(ctx context.Context, k keys.Key, data []byte, ttl time.Duration, primary bool) ([]byte, bool) {
+	if k.Version() != 0 {
+		n.st.Put(k, data, ttl, time.Now())
+		return data, true
+	}
+	if primary {
+		if held, ok := n.st.Get(k); !ok || held.IsPointer() {
+			data = n.newestRoot(ctx, k, data)
+		}
+	}
+	n.inPlaceMu.Lock()
+	defer n.inPlaceMu.Unlock()
+	if held, ok := n.st.Get(k); ok && !held.IsPointer() && !fs.NewerRoot(k, held.Data, data) {
+		n.metrics.staleRefused.Inc()
+		return nil, false
+	}
+	n.st.Put(k, data, ttl, time.Now())
+	return data, true
+}
+
+// newestRoot returns the newest of data and the replica successors'
+// copies of root key k.
+func (n *Node) newestRoot(ctx context.Context, k keys.Key, data []byte) []byte {
+	for _, p := range n.replicaTargets() {
+		resp, err := transport.Expect[*transport.GetResp](n.call(ctx, p.Addr, &transport.GetReq{Key: k}))
+		if err == nil && resp.Found && resp.Redirect == "" && !fs.NewerRoot(k, resp.Data, data) {
+			data = resp.Data
+		}
+	}
+	return data
 }
 
 // handleGet serves a block, redirecting when only a pointer is held.
@@ -144,7 +187,17 @@ func (n *Node) doomed(k keys.Key) bool {
 // children of the primary's handler span (it never carries cancellation —
 // handlers run under background-derived contexts).
 func (n *Node) forwardToReplicas(ctx context.Context, req transport.Message) {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	for _, p := range n.replicaTargets() {
+		_, _ = n.call(ctx, p.Addr, req)
+	}
+}
+
+// replicaTargets returns the r-1 successors that hold our replicas.
+func (n *Node) replicaTargets() []transport.PeerInfo {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	targets := make([]transport.PeerInfo, 0, n.cfg.Replicas-1)
 	for _, p := range n.succs {
 		if p.Addr == n.self.Addr {
@@ -155,12 +208,7 @@ func (n *Node) forwardToReplicas(ctx context.Context, req transport.Message) {
 			break
 		}
 	}
-	n.mu.Unlock()
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	for _, p := range targets {
-		_, _ = n.call(ctx, p.Addr, req)
-	}
+	return targets
 }
 
 // handleSplit returns the byte-median of this node's primary range, so a
@@ -401,7 +449,8 @@ func (n *Node) stabilizePointers() {
 				continue
 			}
 		}
-		n.st.Put(it.Key, resp.Data, n.cfg.DefaultTTL, time.Now())
-		n.metrics.ptrResolved.Inc()
+		if _, ok := n.store(ctx, it.Key, resp.Data, n.cfg.DefaultTTL, false); ok {
+			n.metrics.ptrResolved.Inc()
+		}
 	}
 }

@@ -113,19 +113,6 @@ func (r *Report) FragRatio() float64 {
 	return float64(r.Runs) / float64(r.Files)
 }
 
-// ParseReport decodes a Report from its JSON wire form, returning nil
-// for empty or malformed input (census-less or older nodes).
-func ParseReport(b []byte) *Report {
-	if len(b) == 0 {
-		return nil
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil
-	}
-	return &r
-}
-
 // Bounds is the ring position the sweeper classifies roles against: a
 // data entry in (Pred, Self] is primary, anything else replica.
 type Bounds struct {
@@ -399,8 +386,8 @@ func (s *Sweeper) Snapshot() *Report {
 	return r
 }
 
-// ReportJSON returns the JSON wire form of Snapshot, for the CensusReq
-// RPC and the /censusz admin endpoint.
+// ReportJSON returns the JSON wire form of Snapshot, for the node
+// report's census section and the /censusz admin endpoint.
 func (s *Sweeper) ReportJSON() []byte {
 	b, err := json.Marshal(s.Snapshot())
 	if err != nil {

@@ -2,6 +2,7 @@ package census
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -204,7 +205,7 @@ func TestSweepResetsBetweenTicks(t *testing.T) {
 
 // TestMergeAssociative checks Merge over three real sweep reports:
 // any grouping and any order must produce identical cluster totals —
-// the property that makes ClusterCensus independent of walk order.
+// the property that makes CensusCluster independent of walk order.
 func TestMergeAssociative(t *testing.T) {
 	mk := func(seed byte, blocks []uint64) *Report {
 		st := store.New()
@@ -296,9 +297,9 @@ func TestBuildClusterGolden(t *testing.T) {
 	}
 }
 
-// TestReportJSONRoundTrip pins the wire form: ReportJSON → ParseReport
-// must reproduce the snapshot exactly, and malformed input must yield
-// nil rather than a zero report.
+// TestReportJSONRoundTrip pins the wire form: decoding ReportJSON must
+// reproduce the snapshot exactly. (Malformed input is the scraper's
+// concern: the node report names it in the report's Err.)
 func TestReportJSONRoundTrip(t *testing.T) {
 	st := store.New()
 	now := time.Now()
@@ -310,12 +311,12 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	s.Sweep()
 
 	want := s.Snapshot()
-	got := ParseReport(s.ReportJSON())
+	got := new(Report)
+	if err := json.Unmarshal(s.ReportJSON(), got); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
-	}
-	if ParseReport(nil) != nil || ParseReport([]byte("{broken")) != nil {
-		t.Fatal("ParseReport must return nil for empty or malformed input")
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 )
 
 // NodeReport pairs a node's identity with its parsed census report, as
-// gathered by Client.ClusterCensus over WalkRing.
+// gathered by one node-report ring walk. Err is set when the node's
+// report failed to decode.
 type NodeReport struct {
 	Addr string  `json:"addr"`
 	ID   string  `json:"id"` // short hex node ID
 	Rep  *Report `json:"report,omitempty"`
+	Err  string  `json:"error,omitempty"`
 }
 
 // Cluster is the merged §5-style view of placement across the ring.
@@ -117,7 +119,8 @@ func mergeVolumes(a, b []VolumeCensus) []VolumeCensus {
 
 // BuildCluster merges per-node reports into the cluster view and
 // derives the §5/§10 metrics. Nodes with a nil report (census disabled
-// or an older binary) still appear in Nodes but contribute nothing.
+// or a report that failed to decode) still appear in Nodes but
+// contribute nothing.
 func BuildCluster(nodes []NodeReport) *Cluster {
 	c := &Cluster{Nodes: nodes, State: "ok"}
 	merged := &Report{}

@@ -1,17 +1,17 @@
 package history
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"github.com/defragdht/d2/internal/stats"
 )
 
-// ClusterNode is one ring member's health as gathered by a HealthReq
+// ClusterNode is one ring member's health as gathered by a node-report
 // walk: identity, load, and the node's own status/rates documents
 // (parsed from the wire JSON; either may be nil for nodes without an
-// engine, e.g. in-memory test clusters).
+// engine, e.g. in-memory test clusters). Err is set when the node's
+// report failed to decode.
 type ClusterNode struct {
 	Addr        string  `json:"addr"`
 	State       string  `json:"state"`
@@ -20,6 +20,7 @@ type ClusterNode struct {
 	Blocks      int64   `json:"blocks"`
 	Status      *Status `json:"status,omitempty"`
 	Rates       *Rates  `json:"rates,omitempty"`
+	Err         string  `json:"error,omitempty"`
 }
 
 // Problem names one failing or degraded check on one node.
@@ -55,7 +56,9 @@ const (
 // BuildClusterReport evaluates cluster-level health over per-node
 // results: overall state is the worst member state escalated by the
 // imbalance check, and Problems collects every non-ok check naming its
-// node — `d2ctl doctor`'s "which node, which check" answer.
+// node — `d2ctl doctor`'s "which node, which check" answer. A member
+// whose report failed to decode is a degraded report_decode problem: its
+// health is unknown, not healthy.
 func BuildClusterReport(members []ClusterNode) ClusterReport {
 	r := ClusterReport{At: time.Now(), Nodes: len(members), Members: members}
 
@@ -64,6 +67,15 @@ func BuildClusterReport(members []ClusterNode) ClusterReport {
 	for _, m := range members {
 		loads = append(loads, float64(m.RespBytes))
 		st := stateFromString(m.State)
+		if m.Err != "" {
+			st = max(st, StateDegraded)
+			r.Problems = append(r.Problems, Problem{
+				Node:     m.Addr,
+				Check:    "report_decode",
+				State:    StateDegraded.String(),
+				Evidence: m.Err,
+			})
+		}
 		if st > worst {
 			worst = st
 		}
@@ -131,30 +143,4 @@ func stateFromString(s string) State {
 		}
 	}
 	return StateOK
-}
-
-// ParseStatus decodes a node's StatusJSON wire document (nil input or
-// parse failure yields nil).
-func ParseStatus(b []byte) *Status {
-	if len(b) == 0 {
-		return nil
-	}
-	var s Status
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil
-	}
-	return &s
-}
-
-// ParseRates decodes a node's RatesJSON wire document (nil input or
-// parse failure yields nil).
-func ParseRates(b []byte) *Rates {
-	if len(b) == 0 {
-		return nil
-	}
-	var r Rates
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil
-	}
-	return &r
 }

@@ -5,7 +5,7 @@
 // large payloads ride out as borrowed net.Buffers segments (writev), so a
 // 64-item FetchRangeResp leaves the process without a coalescing copy.
 //
-// Frame layout (v1), big-endian:
+// Frame layout (v2), big-endian:
 //
 //	u32  len    — byte count of everything after this field
 //	u8   ver    — wireVersion; receivers reject other versions
@@ -47,7 +47,9 @@ import (
 const (
 	// wireVersion is the protocol generation. Bump on any layout change;
 	// receivers drop frames from other generations instead of guessing.
-	wireVersion = 1
+	// v2 replaced the three scrape pairs (stats, health, census) with
+	// NodeReportReq/NodeReportResp.
+	wireVersion = 2
 
 	// flagCRC marks a frame carrying a trailing CRC-32C.
 	flagCRC = 0x01
@@ -70,8 +72,10 @@ const (
 	maxPooledBuf = 1 << 20
 )
 
-// Wire message types, fixed for v1. Order is append-only: new types take
-// new numbers, removed types leave holes.
+// Wire message types. Within a wire version the order is append-only:
+// new types take new numbers. v2 gave the stats slots to the node report
+// and dropped the trailing health and census types, so no surviving type
+// changed its byte.
 const (
 	tInvalid byte = iota
 	tPingReq
@@ -102,15 +106,11 @@ const (
 	tPutPtrResp
 	tSampleReq
 	tSampleResp
-	tStatsReq
-	tStatsResp
+	tNodeReportReq
+	tNodeReportResp
 	tTraceFetchReq
 	tTraceFetchResp
 	tErrResp
-	tHealthReq
-	tHealthResp
-	tCensusReq
-	tCensusResp
 	numWireTypes
 )
 
@@ -173,24 +173,16 @@ func wireType(m Message) byte {
 		return tSampleReq
 	case *SampleResp:
 		return tSampleResp
-	case *StatsReq:
-		return tStatsReq
-	case *StatsResp:
-		return tStatsResp
+	case *NodeReportReq:
+		return tNodeReportReq
+	case *NodeReportResp:
+		return tNodeReportResp
 	case *TraceFetchReq:
 		return tTraceFetchReq
 	case *TraceFetchResp:
 		return tTraceFetchResp
 	case *ErrResp:
 		return tErrResp
-	case *HealthReq:
-		return tHealthReq
-	case *HealthResp:
-		return tHealthResp
-	case *CensusReq:
-		return tCensusReq
-	case *CensusResp:
-		return tCensusResp
 	default:
 		return tInvalid
 	}
@@ -207,9 +199,7 @@ var borrows = [numWireTypes]bool{
 	tMultiGetResp:   true,
 	tFetchRangeResp: true,
 	tRangeResp:      true,
-	tStatsResp:      true,
-	tHealthResp:     true,
-	tCensusResp:     true,
+	tNodeReportResp: true,
 }
 
 // --- message struct pools ---
@@ -247,15 +237,11 @@ var msgPools = [numWireTypes]*sync.Pool{
 	tPutPtrResp:     {New: func() any { return new(PutPtrResp) }},
 	tSampleReq:      {New: func() any { return new(SampleReq) }},
 	tSampleResp:     {New: func() any { return new(SampleResp) }},
-	tStatsReq:       {New: func() any { return new(StatsReq) }},
-	tStatsResp:      {New: func() any { return new(StatsResp) }},
+	tNodeReportReq:  {New: func() any { return new(NodeReportReq) }},
+	tNodeReportResp: {New: func() any { return new(NodeReportResp) }},
 	tTraceFetchReq:  {New: func() any { return new(TraceFetchReq) }},
 	tTraceFetchResp: {New: func() any { return new(TraceFetchResp) }},
 	tErrResp:        {New: func() any { return new(ErrResp) }},
-	tHealthReq:      {New: func() any { return new(HealthReq) }},
-	tHealthResp:     {New: func() any { return new(HealthResp) }},
-	tCensusReq:      {New: func() any { return new(CensusReq) }},
-	tCensusResp:     {New: func() any { return new(CensusResp) }},
 }
 
 // recycleMessage returns a decoded message struct to its type pool. Safe
@@ -463,13 +449,13 @@ func (e *frameEncoder) appendBytes(dst []byte) []byte {
 }
 
 // body appends the message fields for each wire type. Field order is part
-// of the v1 wire contract (golden tests pin it); payload blobs go last so
+// of the wire contract (golden tests pin it); payload blobs go last so
 // the cut list stays short.
 func (e *frameEncoder) body(typ byte, m Message) {
 	b := e.buf
 	switch typ {
 	case tPingReq, tNeighborsReq, tNotifyResp, tPutResp, tRemoveResp,
-		tLoadReq, tSplitReq, tPutPtrResp, tStatsReq, tHealthReq, tCensusReq:
+		tLoadReq, tSplitReq, tPutPtrResp:
 		return // empty bodies
 	case tPingResp:
 		v := m.(*PingResp)
@@ -600,15 +586,27 @@ func (e *frameEncoder) body(typ byte, m Message) {
 		v := m.(*SampleResp)
 		e.peer(&v.Peer)
 		return
-	case tStatsResp:
-		v := m.(*StatsResp)
+	case tNodeReportReq:
+		v := m.(*NodeReportReq)
+		e.buf = wire.AppendU8(b, byte(v.Sections))
+		return
+	case tNodeReportResp:
+		v := m.(*NodeReportResp)
 		e.peer(&v.Self)
 		e.peer(&v.Pred)
+		e.buf = wire.AppendU32(e.buf, uint32(len(v.Succs)))
+		for i := range v.Succs {
+			e.peer(&v.Succs[i])
+		}
 		b = wire.AppendI64(e.buf, v.RespBytes)
 		b = wire.AppendI64(b, v.StoredBytes)
 		b = wire.AppendI64(b, v.Blocks)
+		b = wire.AppendShortString(b, v.State)
 		e.buf = b
-		e.blob(v.SnapshotJSON)
+		e.blob(v.MetricsJSON)
+		e.blob(v.StatusJSON)
+		e.blob(v.RatesJSON)
+		e.blob(v.CensusJSON)
 		return
 	case tTraceFetchReq:
 		v := m.(*TraceFetchReq)
@@ -635,28 +633,6 @@ func (e *frameEncoder) body(typ byte, m Message) {
 	case tErrResp:
 		v := m.(*ErrResp)
 		e.buf = wire.AppendString(b, v.Err)
-		return
-	case tHealthResp:
-		v := m.(*HealthResp)
-		e.peer(&v.Self)
-		e.peer(&v.Pred)
-		b = wire.AppendI64(e.buf, v.RespBytes)
-		b = wire.AppendI64(b, v.StoredBytes)
-		b = wire.AppendI64(b, v.Blocks)
-		b = wire.AppendShortString(b, v.State)
-		e.buf = b
-		e.blob(v.StatusJSON)
-		e.blob(v.RatesJSON)
-		return
-	case tCensusResp:
-		v := m.(*CensusResp)
-		e.peer(&v.Self)
-		e.peer(&v.Pred)
-		b = wire.AppendI64(e.buf, v.RespBytes)
-		b = wire.AppendI64(b, v.StoredBytes)
-		b = wire.AppendI64(b, v.Blocks)
-		e.buf = b
-		e.blob(v.ReportJSON)
 		return
 	}
 }
@@ -767,7 +743,7 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 	m := msgPools[typ].Get().(Message)
 	switch typ {
 	case tPingReq, tNeighborsReq, tNotifyResp, tPutResp, tRemoveResp,
-		tLoadReq, tSplitReq, tPutPtrResp, tStatsReq, tHealthReq, tCensusReq:
+		tLoadReq, tSplitReq, tPutPtrResp:
 		return m
 	case tPingResp:
 		v := m.(*PingResp)
@@ -870,14 +846,26 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 	case tSampleResp:
 		v := m.(*SampleResp)
 		readPeer(r, &v.Peer)
-	case tStatsResp:
-		v := m.(*StatsResp)
+	case tNodeReportReq:
+		v := m.(*NodeReportReq)
+		v.Sections = Sections(r.U8())
+	case tNodeReportResp:
+		v := m.(*NodeReportResp)
 		readPeer(r, &v.Self)
 		readPeer(r, &v.Pred)
+		n := r.Count(minPeer)
+		v.Succs = sliceFor(v.Succs, n)
+		for i := range v.Succs {
+			readPeer(r, &v.Succs[i])
+		}
 		v.RespBytes = r.I64()
 		v.StoredBytes = r.I64()
 		v.Blocks = r.I64()
-		v.SnapshotJSON = r.Bytes()
+		v.State = r.ShortString()
+		v.MetricsJSON = r.Bytes()
+		v.StatusJSON = r.Bytes()
+		v.RatesJSON = r.Bytes()
+		v.CensusJSON = r.Bytes()
 	case tTraceFetchReq:
 		v := m.(*TraceFetchReq)
 		v.Trace = r.U64()
@@ -902,24 +890,6 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 	case tErrResp:
 		v := m.(*ErrResp)
 		v.Err = r.String()
-	case tHealthResp:
-		v := m.(*HealthResp)
-		readPeer(r, &v.Self)
-		readPeer(r, &v.Pred)
-		v.RespBytes = r.I64()
-		v.StoredBytes = r.I64()
-		v.Blocks = r.I64()
-		v.State = r.ShortString()
-		v.StatusJSON = r.Bytes()
-		v.RatesJSON = r.Bytes()
-	case tCensusResp:
-		v := m.(*CensusResp)
-		readPeer(r, &v.Self)
-		readPeer(r, &v.Pred)
-		v.RespBytes = r.I64()
-		v.StoredBytes = r.I64()
-		v.Blocks = r.I64()
-		v.ReportJSON = r.Bytes()
 	}
 	return m
 }

@@ -98,14 +98,36 @@ func sampleMessages() []Message {
 		&PutPtrResp{},
 		&SampleReq{Hops: 5},
 		&SampleResp{Peer: testPeer(31)},
-		&StatsReq{},
-		&StatsResp{Self: testPeer(32), Pred: testPeer(33), RespBytes: 1, StoredBytes: 2, Blocks: 3, SnapshotJSON: []byte(`{"x":1}`)},
+		&NodeReportReq{Sections: SectionMetrics | SectionHealth | SectionCensus},
+		&NodeReportReq{},
+		&NodeReportResp{
+			Self: testPeer(32), Pred: testPeer(33), Succs: []PeerInfo{testPeer(34), testPeer(35)},
+			RespBytes: 1, StoredBytes: 2, Blocks: 3, State: "degraded",
+			MetricsJSON: []byte(`{"x":1}`), StatusJSON: []byte(`{"state":"degraded"}`),
+			RatesJSON: []byte(`{"r":2}`), CensusJSON: big,
+		},
+		&NodeReportResp{Self: testPeer(36), State: "unknown"},
 		&TraceFetchReq{Trace: 0xDEADBEEF, Limit: 100},
 		&TraceFetchResp{Spans: []tracing.Span{
 			{Trace: 1, ID: 2, Parent: 3, Name: "rpc.get", Node: "n1", Start: 1000, Dur: 50, Attrs: "k=v"},
 			{Trace: 1, ID: 4, Name: "store.read", Node: "n2", Start: 1050, Dur: 10},
 		}},
 		&ErrResp{Err: "not the owner"},
+	}
+}
+
+// TestCodecCoversEveryWireType checks that sampleMessages — the round
+// trip, truncation, and fuzz-seed corpus — holds at least one message of
+// every wire type, so a new type cannot ship untested.
+func TestCodecCoversEveryWireType(t *testing.T) {
+	covered := make(map[byte]bool)
+	for _, m := range sampleMessages() {
+		covered[wireType(m)] = true
+	}
+	for typ := byte(1); typ < numWireTypes; typ++ {
+		if !covered[typ] {
+			t.Errorf("wire type %d (%s) has no sample message", typ, kindNames[wireKinds[typ]])
+		}
 	}
 }
 
@@ -153,7 +175,9 @@ func TestCodecRoundTripRecycled(t *testing.T) {
 	}
 }
 
-// goldenFrames pins the v1 wire encoding byte for byte. If one of these
+// goldenFrames pins the v2 wire encoding byte for byte. v2 changed no
+// fixture's layout or type byte, so these differ from their v1 pins only
+// in the version byte (frame offset 4). If one of these
 // fails, the change is a wire-protocol break: bump wireVersion and add a
 // new fixture set instead of editing these.
 var goldenFrames = []struct {
@@ -164,19 +188,19 @@ var goldenFrames = []struct {
 	{
 		name: "PingReq",
 		msg:  &PingReq{},
-		hex:  "0000001d01000101000000000000002a000000000000000000000000000000006e",
+		hex:  "0000001d02000101000000000000002a000000000000000000000000000000006e",
 	},
 	{
 		name: "GetReq",
 		msg:  &GetReq{Key: testKey(3)},
-		hex: "0000005d01000b01000000000000002a000000000000000000000000000000006e" +
+		hex: "0000005d02000b01000000000000002a000000000000000000000000000000006e" +
 			"030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324" +
 			"25262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142",
 	},
 	{
 		name: "PutReq",
 		msg:  &PutReq{Key: testKey(5), Data: []byte("block"), Replicate: true, TTL: 60},
-		hex: "0000006f01000901000000000000002a000000000000000000000000000000006e" +
+		hex: "0000006f02000901000000000000002a000000000000000000000000000000006e" +
 			"05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526" +
 			"2728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f4041424344" +
 			"01000000000000003c00000005626c6f636b",
@@ -184,7 +208,7 @@ var goldenFrames = []struct {
 	{
 		name: "FindSuccResp",
 		msg:  &FindSuccResp{Done: true, Node: testPeer(1), Pred: testPeer(2)},
-		hex: "000000bc01000401000000000000002a000000000000000000000000000000006e01" +
+		hex: "000000bc02000401000000000000002a000000000000000000000000000000006e01" +
 			"0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122" +
 			"232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40" +
 			"000d31302e302e302e313a37303030" +
@@ -195,7 +219,7 @@ var goldenFrames = []struct {
 	{
 		name: "FetchRangeResp",
 		msg:  &FetchRangeResp{More: true, Items: []BatchItem{{Key: testKey(9), Found: true, Data: []byte("it")}}},
-		hex: "0000006b01001801000000000000002a000000000000000000000000000000006e" +
+		hex: "0000006b02001801000000000000002a000000000000000000000000000000006e" +
 			"0100000001" +
 			"090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526272829" +
 			"2a2b2c2d2e2f303132333435363738393a3b3c3d3e3f4041424344454647" +
@@ -204,13 +228,13 @@ var goldenFrames = []struct {
 	{
 		name: "ErrResp",
 		msg:  &ErrResp{Err: "boom"},
-		hex:  "0000002501002101000000000000002a000000000000000000000000000000006e00000004626f6f6d",
+		hex:  "0000002502002101000000000000002a000000000000000000000000000000006e00000004626f6f6d",
 	},
 }
 
-// TestCodecGoldenV1 checks pinned fixtures; regenerate with -run
-// TestCodecGoldenV1 -v on mismatch and inspect the diff before accepting.
-func TestCodecGoldenV1(t *testing.T) {
+// TestCodecGoldenV2 checks pinned fixtures; regenerate with -run
+// TestCodecGoldenV2 -v on mismatch and inspect the diff before accepting.
+func TestCodecGoldenV2(t *testing.T) {
 	for _, g := range goldenFrames {
 		frame := encodeFrame(t, 42, 0, 0, "n", g.msg, false)
 		if g.hex == "" {
@@ -259,6 +283,20 @@ func TestCodecMalformedRejected(t *testing.T) {
 		f[4] = wireVersion + 1
 		if _, _, err := decodeFrame(f); !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("v1 frame", func(t *testing.T) {
+		// A v1 peer's frame: a golden fixture with the old version byte.
+		for _, g := range goldenFrames {
+			f, err := hex.DecodeString(g.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f[4] = 1
+			if _, _, err := decodeFrame(f); !errors.Is(err, wire.ErrMalformed) ||
+				!strings.Contains(err.Error(), "wire version 1 (want 2)") {
+				t.Fatalf("%s: err = %v", g.name, err)
+			}
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {

@@ -28,10 +28,8 @@ const (
 	kindRange
 	kindPutPtr
 	kindSample
-	kindStats
+	kindNodeReport
 	kindTraceFetch
-	kindHealth
-	kindCensus
 	kindOther
 	numKinds
 )
@@ -39,8 +37,7 @@ const (
 var kindNames = [numKinds]string{
 	"ping", "find_succ", "neighbors", "notify", "put", "get",
 	"multi_get", "fetch_range", "remove", "load", "split", "range",
-	"put_ptr", "sample", "stats", "trace_fetch", "health", "census",
-	"other",
+	"put_ptr", "sample", "node_report", "trace_fetch", "other",
 }
 
 // kindOf classifies a request message.
@@ -74,14 +71,10 @@ func kindOf(m Message) rpcKind {
 		return kindPutPtr
 	case *SampleReq:
 		return kindSample
-	case *StatsReq:
-		return kindStats
+	case *NodeReportReq:
+		return kindNodeReport
 	case *TraceFetchReq:
 		return kindTraceFetch
-	case *HealthReq:
-		return kindHealth
-	case *CensusReq:
-		return kindCensus
 	default:
 		return kindOther
 	}
@@ -105,10 +98,8 @@ var wireKinds = [numWireTypes]rpcKind{
 	tFetchRangeReq: kindFetchRange, tFetchRangeResp: kindFetchRange,
 	tPutPtrReq: kindPutPtr, tPutPtrResp: kindPutPtr,
 	tSampleReq: kindSample, tSampleResp: kindSample,
-	tStatsReq: kindStats, tStatsResp: kindStats,
+	tNodeReportReq: kindNodeReport, tNodeReportResp: kindNodeReport,
 	tTraceFetchReq: kindTraceFetch, tTraceFetchResp: kindTraceFetch,
-	tHealthReq: kindHealth, tHealthResp: kindHealth,
-	tCensusReq: kindCensus, tCensusResp: kindCensus,
 	tErrResp: kindOther,
 }
 
@@ -139,12 +130,8 @@ func payloadBytes(m Message) int64 {
 			n += int64(len(v.Items[i].Data))
 		}
 		return n
-	case *StatsResp:
-		return int64(len(v.SnapshotJSON))
-	case *HealthResp:
-		return int64(len(v.StatusJSON) + len(v.RatesJSON))
-	case *CensusResp:
-		return int64(len(v.ReportJSON))
+	case *NodeReportResp:
+		return int64(len(v.MetricsJSON) + len(v.StatusJSON) + len(v.RatesJSON) + len(v.CensusJSON))
 	default:
 		return 0
 	}

@@ -260,68 +260,50 @@ type TraceFetchReq struct {
 // (or its recent roots), ordered by start time.
 type TraceFetchResp struct{ Spans []tracing.Span }
 
-// StatsReq asks a node for its metrics snapshot and load summary — the
-// admin plane's scrape RPC, used by d2ctl stats/top to build cluster-wide
-// views without an HTTP round trip.
-type StatsReq struct{}
+// Sections selects the optional parts of a NodeReportResp. Code sets it
+// to what one view renders; it is never a user option.
+type Sections uint8
 
-// StatsResp carries one node's observability state.
-type StatsResp struct {
-	Self PeerInfo
-	Pred PeerInfo
+const (
+	// SectionMetrics asks for the node's metrics snapshot.
+	SectionMetrics Sections = 1 << iota
+	// SectionHealth asks for the health engine's status and rates.
+	SectionHealth
+	// SectionCensus asks for the placement-census report.
+	SectionCensus
+)
+
+// NodeReportReq asks a node for its report — the one scrape RPC behind
+// every cluster view. The always-present part (identity, ring neighbors,
+// health state) is what a ring walk needs to take its next step, so
+// scraping N nodes costs one RPC per node. The load header comes with
+// any section, and a report with no sections stays O(1) on the node.
+type NodeReportReq struct{ Sections Sections }
+
+// NodeReportResp carries one node's report.
+type NodeReportResp struct {
+	Self  PeerInfo
+	Pred  PeerInfo
+	Succs []PeerInfo
 	// RespBytes is the node's primary-responsibility load (§6) and
 	// StoredBytes its total stored volume; reported per node (not merged)
-	// so the scraper can compute the §10 load-imbalance metric.
+	// so the scraper can compute the §10 load-imbalance metric. They and
+	// Blocks stay zero when no section was asked.
 	RespBytes   int64
 	StoredBytes int64
 	// Blocks is the number of store entries (data and pointers).
 	Blocks int64
-	// SnapshotJSON is the node's obs.Snapshot, JSON-encoded. Mergeable
-	// with other nodes' snapshots via obs.Merge.
-	SnapshotJSON []byte
-}
-
-// HealthReq asks a node for its health verdict and derived rates — the
-// cluster health engine's scrape RPC, used by d2ctl watch/doctor to
-// build ring-wide health views without an HTTP round trip.
-type HealthReq struct{}
-
-// HealthResp carries one node's health state.
-type HealthResp struct {
-	Self PeerInfo
-	Pred PeerInfo
-	// RespBytes/StoredBytes/Blocks mirror StatsResp so the doctor can
-	// evaluate §10 load imbalance from the same walk.
-	RespBytes   int64
-	StoredBytes int64
-	Blocks      int64
-	// State is the overall verdict ("ok", "degraded", "failing", or
-	// "unknown" for nodes without a health engine).
+	// State is the node's health verdict ("ok", "degraded", "failing",
+	// or "unknown" for nodes without a health engine).
 	State string
-	// StatusJSON is the node's history.Status document and RatesJSON its
-	// history.Rates document, both JSON-encoded; nil without an engine.
-	StatusJSON []byte
-	RatesJSON  []byte
-}
-
-// CensusReq asks a node for its placement census — per-role block
-// tallies and per-volume run-length stats from its background sweeper.
-// d2ctl frag/map aggregate the reports over WalkRing into the §5
-// cluster locality metrics.
-type CensusReq struct{}
-
-// CensusResp carries one node's placement census.
-type CensusResp struct {
-	Self PeerInfo
-	Pred PeerInfo
-	// RespBytes/StoredBytes/Blocks mirror StatsResp so the census walk
-	// can compute §10 load imbalance without a second scrape.
-	RespBytes   int64
-	StoredBytes int64
-	Blocks      int64
-	// ReportJSON is the node's census.Report, JSON-encoded; nil on
-	// nodes without a census sweeper.
-	ReportJSON []byte
+	// The section blobs, each JSON-encoded and nil unless asked for and
+	// running on the node: MetricsJSON is an obs.Snapshot (mergeable via
+	// obs.Merge), StatusJSON and RatesJSON the history.Status and
+	// history.Rates documents, CensusJSON a census.Report.
+	MetricsJSON []byte
+	StatusJSON  []byte
+	RatesJSON   []byte
+	CensusJSON  []byte
 }
 
 // ErrResp carries an application-level error back to the caller.
@@ -355,15 +337,11 @@ func (*PutPtrReq) isMessage()      {}
 func (*PutPtrResp) isMessage()     {}
 func (*SampleReq) isMessage()      {}
 func (*SampleResp) isMessage()     {}
-func (*StatsReq) isMessage()       {}
-func (*StatsResp) isMessage()      {}
+func (*NodeReportReq) isMessage()  {}
+func (*NodeReportResp) isMessage() {}
 func (*TraceFetchReq) isMessage()  {}
 func (*TraceFetchResp) isMessage() {}
 func (*ErrResp) isMessage()        {}
-func (*HealthReq) isMessage()      {}
-func (*HealthResp) isMessage()     {}
-func (*CensusReq) isMessage()      {}
-func (*CensusResp) isMessage()     {}
 
 // AsError converts an ErrResp into a Go error, passing other messages
 // through.

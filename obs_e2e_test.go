@@ -354,7 +354,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 // ring (replicas=3, so every survivor of a node kill is short one
 // successor) and checks the doctor path end to end: the survivors' repair
 // rounds publish the deficit, their health engines degrade, and
-// ClusterDoctor names the replica_deficit check against a real node.
+// the doctor report names the replica_deficit check against a real node.
 func TestDoctorFlagsReplicaDeficit(t *testing.T) {
 	ctx := context.Background()
 	opts := fastOptions()
@@ -388,10 +388,11 @@ func TestDoctorFlagsReplicaDeficit(t *testing.T) {
 	}
 
 	// Healthy baseline first: with all three nodes up, no replica deficit.
-	report, err := client.ClusterDoctor(ctx)
+	reports, err := client.NodeReports(ctx, d2.SectionHealth)
 	if err != nil {
 		t.Fatal(err)
 	}
+	report := d2.DoctorReport(reports)
 	if report.Nodes != 3 {
 		t.Fatalf("doctor sees %d nodes, want 3", report.Nodes)
 	}
@@ -414,10 +415,11 @@ func TestDoctorFlagsReplicaDeficit(t *testing.T) {
 			t.Fatalf("doctor never flagged replica_deficit; last report: %+v", lastReport)
 		}
 		time.Sleep(100 * time.Millisecond)
-		report, err := client.ClusterDoctor(ctx)
+		reports, err := client.NodeReports(ctx, d2.SectionHealth)
 		if err != nil {
 			continue // transient while the ring heals around the dead node
 		}
+		report := d2.DoctorReport(reports)
 		lastReport = report
 		if report.Nodes != 2 {
 			continue // dead node still in a successor list

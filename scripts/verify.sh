@@ -29,8 +29,10 @@
 #                            node-kill e2e) plus the alloc gate proving
 #                            segment buffers recycle through the pool
 #                            (< 4 MB allocated per 8 MB streamed)
-#   scripts/verify.sh obs    obs tier: the history/health/flight tests and
-#                            the doctor + flight e2e under -race, a 10 s
+#   scripts/verify.sh obs    obs tier: the history/health/flight tests,
+#                            the node-report scrape tests (RPC count,
+#                            malformed sections, ring walk), and the
+#                            doctor + flight e2e under -race, a 10 s
 #                            concurrent sampler soak, and the alloc gates
 #                            proving the sampling tick and the health
 #                            evaluation both stay zero-allocation
@@ -47,6 +49,10 @@
 #                            interleaved), a 10 s WAL-replay fuzz pass,
 #                            and the alloc gate proving the indexed read
 #                            path (ReadInto) stays zero-allocation
+#
+# Every tier checks its -run and -fuzz patterns first: each |-separated
+# alternative must name at least one test in the packages it runs, so a
+# renamed test fails its tier instead of silently dropping out of it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,6 +67,34 @@ lint() {
 	fi
 }
 
+# must_match PATTERN PKG... fails unless every |-separated alternative of
+# PATTERN matches a test, fuzz target, or example listed in PKGs.
+must_match() {
+	pat=$1
+	shift
+	names=$(go test -list '.' "$@" | grep -E '^(Test|Fuzz|Example)' || true)
+	old_ifs=$IFS
+	IFS='|'
+	set -f
+	for alt in $pat; do
+		if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+			echo "verify: -run alternative '$alt' of '$pat' matches no test in $*" >&2
+			exit 1
+		fi
+	done
+	set +f
+	IFS=$old_ifs
+}
+
+# race_run PATTERN PKG... runs the tests matching PATTERN under -race,
+# after must_match has checked the pattern.
+race_run() {
+	must_match "$@"
+	pat=$1
+	shift
+	go test -race -run "$pat" "$@"
+}
+
 if [ "${1:-}" = "lint" ]; then
 	lint
 	exit 0
@@ -69,7 +103,7 @@ fi
 if [ "${1:-}" = "trace" ]; then
 	echo "== trace tier: tracing tests under -race"
 	go test -race ./internal/obs/tracing/
-	go test -race -run 'Trace' ./internal/obs/ ./internal/transport/ ./internal/node/ .
+	race_run 'Trace' ./internal/obs/ ./internal/transport/ ./internal/node/ .
 	echo "== trace tier: unsampled-path alloc guard (want 0 allocs/op)"
 	out=$(go test -run '^$' -bench 'BenchmarkStartOpUnsampled' -benchmem \
 		./internal/obs/tracing/ | tee /dev/stderr)
@@ -82,8 +116,9 @@ fi
 
 if [ "${1:-}" = "wire" ]; then
 	echo "== wire tier: codec + pool tests under -race"
-	go test -race -run 'Codec|Pool|TCP' ./internal/transport/
+	race_run 'Codec|Pool|TCP' ./internal/transport/
 	echo "== wire tier: codec fuzz (10s)"
+	must_match 'FuzzCodecRoundTrip' ./internal/transport/
 	go test -run '^$' -fuzz 'FuzzCodecRoundTrip' -fuzztime 10s ./internal/transport/
 	echo "== wire tier: TCP serve-path alloc guard (want 0 allocs/op)"
 	out=$(go test -run '^$' -bench 'BenchmarkTCPServePath' -benchmem \
@@ -97,7 +132,7 @@ fi
 
 if [ "${1:-}" = "stream" ]; then
 	echo "== stream tier: streaming pipeline tests under -race"
-	go test -race -run 'Stream|ReadCacheByteCap' ./internal/fs/ ./internal/node/ .
+	race_run 'Stream|ReadCacheByteCap' ./internal/fs/ ./internal/node/ .
 	echo "== stream tier: consume-path alloc gate (want < 4 MB/op for an 8 MB stream)"
 	out=$(go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
 		./internal/fs/ | tee /dev/stderr)
@@ -115,8 +150,10 @@ fi
 if [ "${1:-}" = "obs" ]; then
 	echo "== obs tier: history/health/flight tests under -race"
 	go test -race ./internal/obs/history/
-	go test -race -run 'Health|Doctor|Flight|ExpositionStrict|AdminPlane' .
+	race_run 'NodeReport|WalkRing' ./internal/node/
+	race_run 'Doctor|Flight|ExpositionStrict|AdminPlane' .
 	echo "== obs tier: 10s concurrent sampler soak under -race"
+	must_match 'TestSamplerSoak' ./internal/obs/history/
 	D2_HISTORY_SOAK=10s go test -race -run 'TestSamplerSoak' ./internal/obs/history/
 	echo "== obs tier: tick + evaluation alloc gates (want 0 allocs/op)"
 	out=$(go test -run '^$' -bench 'BenchmarkSamplerTick|BenchmarkHealthEvaluate' -benchmem \
@@ -135,9 +172,10 @@ fi
 if [ "${1:-}" = "census" ]; then
 	echo "== census tier: census + store-walk tests under -race"
 	go test -race ./internal/obs/census/
-	go test -race -run 'TestArcVisit' ./internal/store/
-	go test -race -run 'TestCensusLocalityImprovesAfterBalance' .
+	race_run 'TestArcVisit' ./internal/store/
+	race_run 'TestCensusLocalityImprovesAfterBalance' .
 	echo "== census tier: 10s sweep-during-churn soak under -race"
+	must_match 'TestSweepDuringChurn' ./internal/obs/census/
 	D2_CENSUS_SOAK=10s go test -race -run 'TestSweepDuringChurn' ./internal/obs/census/
 	echo "== census tier: sweep-tick alloc gate (want 0 allocs/op)"
 	out=$(go test -run '^$' -bench 'BenchmarkSweepTick' -benchmem \
@@ -152,10 +190,12 @@ fi
 if [ "${1:-}" = "disk" ]; then
 	echo "== disk tier: durable-engine tests under -race (incl. kill -9 e2e)"
 	go test -race ./internal/store/ ./internal/store/disk/
-	go test -race -run 'TestDiskNodeCrashRecovery' .
+	race_run 'TestDiskNodeCrashRecovery' .
 	echo "== disk tier: 10s crash-loop soak"
+	must_match 'TestCrashLoop' ./internal/store/disk/
 	D2_DISK_SOAK=10s go test -race -run 'TestCrashLoop' ./internal/store/disk/
 	echo "== disk tier: WAL replay fuzz (10s)"
+	must_match 'FuzzWALReplay' ./internal/store/disk/
 	go test -run '^$' -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/store/disk/
 	echo "== disk tier: indexed-read alloc gate (want 0 allocs/op)"
 	out=$(go test -run '^$' -bench 'BenchmarkDiskReadInto' -benchmem \
