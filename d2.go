@@ -552,7 +552,7 @@ func (c *Client) GetMany(ctx context.Context, ks []Key) (map[Key][]byte, error) 
 // GetSegment fetches a streaming-read segment: GetMany's owner-grouped
 // batching plus per-key not-found retries tuned for consumers racing
 // churn (a mid-stream node kill re-resolves the moved keys instead of
-// dropping the stream). Volume.ReadStream uses it automatically.
+// dropping the stream). Volume content reads use it automatically.
 func (c *Client) GetSegment(ctx context.Context, ks []Key) (map[Key][]byte, error) {
 	return c.inner.GetSegment(ctx, ks)
 }
@@ -563,16 +563,6 @@ type StreamStats = fs.StreamStats
 
 // StatStream is the interface ReadStream's io.ReadCloser also satisfies.
 type StatStream = fs.StatStream
-
-// RangeEntry is one block returned by ReadRange, in key order.
-type RangeEntry = node.RangeEntry
-
-// ReadRange reads every block in the circular arc (lo, hi] — for
-// locality-preserving keys, a whole file or directory subtree — issuing
-// about one RPC per owning node.
-func (c *Client) ReadRange(ctx context.Context, lo, hi Key) ([]RangeEntry, error) {
-	return c.inner.ReadRange(ctx, lo, hi)
-}
 
 // RPCs returns the total RPCs this client has issued (reads, writes, and
 // lookups), for measuring the batched read path.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -99,6 +100,87 @@ func TestVolumeEndToEnd(t *testing.T) {
 	hits, misses := client2.CacheStats()
 	if hits == 0 {
 		t.Errorf("no cache hits while reading a multi-block file (hits=%d misses=%d)", hits, misses)
+	}
+}
+
+// TestOverwriteKeepsSharedBlocks checks that a block two versions of a
+// file share survives the overwrite on a live ring. Unchanged blocks keep
+// their content-hash keys, so the removals an overwrite queues (and the
+// nodes' delayed-removal timers) must not delete them. Cases: an append,
+// which keeps every full block, and a revert to the previous content
+// within RemoveDelay, which re-puts keys the previous Sync removed.
+func TestOverwriteKeepsSharedBlocks(t *testing.T) {
+	ctx := context.Background()
+	opts := fastOptions()
+	opts.RemoveDelay = 300 * time.Millisecond
+	cluster, err := d2.NewCluster(ctx, 6, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	writer, err := cluster.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	// Write only once the ring has converged: a client that caches a
+	// root-block owner from a converging ring can leave the true owner
+	// with an older root (a separate defect, tracked in ROADMAP), which
+	// would fail this test for a reason other than block removal.
+	waitRing(t, ctx, writer, 6)
+	pub, priv, err := d2.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := writer.CreateVolume(ctx, "keep", priv, d2.VolumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	content := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Uint64())
+		}
+		return b
+	}
+	a, b := content(36000), content(36000)
+	cases := []struct {
+		path     string
+		versions [][]byte // written in order, each followed by Sync
+	}{
+		{"/append", [][]byte{a, append(append([]byte(nil), a...), "fourteen bytes"...)}},
+		{"/revert", [][]byte{a, b, a}},
+	}
+	for _, c := range cases {
+		for _, data := range c.versions {
+			if err := vol.WriteFile(ctx, c.path, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := vol.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Let every delayed removal fire, then read through a second client
+	// so the writer's caches cannot hide a deleted block.
+	time.Sleep(3 * opts.RemoveDelay)
+	reader, err := cluster.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	rvol, err := reader.OpenVolume(ctx, "keep", pub, nil, d2.VolumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		got, err := rvol.ReadFile(ctx, c.path)
+		if err != nil {
+			t.Errorf("%s: read after overwrite: %v", c.path, err)
+		} else if !bytes.Equal(got, c.versions[len(c.versions)-1]) {
+			t.Errorf("%s: read after overwrite returned other content (%d bytes)", c.path, len(got))
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -128,30 +129,138 @@ func TestMkdirAndNesting(t *testing.T) {
 }
 
 func TestOverwriteReplacesVersions(t *testing.T) {
-	v, svc := newTestVolume(t)
+	shared := bytes.Repeat([]byte{1}, BlockSize)
+	cases := []struct {
+		name      string
+		old, newb []byte
+	}{
+		{"disjoint", bytes.Repeat([]byte{1}, 2*BlockSize), bytes.Repeat([]byte{2}, 2*BlockSize)},
+		// The unchanged first block keeps its key across the overwrite.
+		{"shared prefix",
+			append(append([]byte(nil), shared...), bytes.Repeat([]byte{3}, BlockSize)...),
+			append(append([]byte(nil), shared...), bytes.Repeat([]byte{4}, BlockSize)...)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			v, svc := newTestVolume(t)
+			ctx := context.Background()
+			if err := v.WriteFile(ctx, "/f", c.old); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before := svc.numBlocks()
+			if err := v.WriteFile(ctx, "/f", c.newb); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// A fresh handle has no caches to hide a removed block.
+			ro, err := Open(ctx, svc, "testvol", testKey.Public().(ed25519.PublicKey), nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ro.ReadFile(ctx, "/f")
+			if err != nil || !bytes.Equal(got, c.newb) {
+				t.Fatalf("overwritten content wrong: %v", err)
+			}
+			// Old versions removed: block count must not grow.
+			if after := svc.numBlocks(); after > before {
+				t.Errorf("block count grew %d -> %d; old versions leaked", before, after)
+			}
+		})
+	}
+}
+
+// TestContentBlocksThroughFreshHandle covers the shared content-block
+// fetcher through handles with cold caches: a directory whose entries
+// outgrow InlineMax lists correctly and caches its content blocks, and a
+// tampered content block fails ReadFile, ReadStream and ReadDir with
+// ErrIntegrity.
+func TestContentBlocksThroughFreshHandle(t *testing.T) {
+	v, svc := newStreamVolume(t)
 	ctx := context.Background()
-	big1 := bytes.Repeat([]byte{1}, 2*BlockSize)
-	big2 := bytes.Repeat([]byte{2}, 2*BlockSize)
-	if err := v.WriteFile(ctx, "/f", big1); err != nil {
+	if err := v.MkdirAll(ctx, "/big"); err != nil {
+		t.Fatal(err)
+	}
+	const nfiles = 300
+	for i := 0; i < nfiles; i++ {
+		if err := v.WriteFile(ctx, fmt.Sprintf("/big/file-%03d", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := randBytes(3 * BlockSize)
+	if err := v.WriteFile(ctx, "/f", want); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	before := svc.numBlocks()
-	if err := v.WriteFile(ctx, "/f", big2); err != nil {
+	fresh := func() *Volume {
+		ro, err := Open(ctx, svc, "streamvol", testKey.Public().(ed25519.PublicKey), nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ro
+	}
+
+	ro := fresh()
+	list, err := ro.ReadDir(ctx, "/big")
+	if err != nil || len(list) != nfiles {
+		t.Fatalf("ReadDir(/big) = %d entries, %v; want %d", len(list), err, nfiles)
+	}
+	for i, fi := range list {
+		if name := fmt.Sprintf("file-%03d", i); fi.Name != name {
+			t.Fatalf("entry %d = %q, want %q", i, fi.Name, name)
+		}
+	}
+	root, err := ro.currentRoot(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Sync(ctx); err != nil {
+	chain, err := ro.walk(ctx, root, []string{"big"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.ReadFile(ctx, "/f")
-	if err != nil || !bytes.Equal(got, big2) {
-		t.Fatalf("overwritten content wrong: %v", err)
+	dir := chain[1]
+	if len(dir.ino.BlockVers) < 2 {
+		t.Fatalf("directory holds %d content blocks, want a multi-block directory", len(dir.ino.BlockVers))
 	}
-	// Old versions removed: block count must not grow.
-	if after := svc.numBlocks(); after > before {
-		t.Errorf("block count grew %d -> %d; old versions leaked", before, after)
+	dirKey := dir.cur.blockKey(1, dir.ino.BlockVers[0])
+	ro.cmu.Lock()
+	for i, ver := range dir.ino.BlockVers {
+		if _, ok := ro.rcache[dir.cur.blockKey(uint64(i+1), ver)]; !ok {
+			t.Errorf("directory block %d not in the read cache", i+1)
+		}
+	}
+	ro.cmu.Unlock()
+
+	cur, ino, err := ro.resolveFile(ctx, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileKey := cur.blockKey(2, ino.BlockVers[1])
+	svc.mu.Lock()
+	for _, k := range []keys.Key{dirKey, fileKey} {
+		svc.blocks[k][0] ^= 0xFF
+	}
+	svc.mu.Unlock()
+
+	if _, err := fresh().ReadFile(ctx, "/f"); !errors.Is(err, ErrIntegrity) {
+		t.Errorf("ReadFile of tampered file: %v, want ErrIntegrity", err)
+	}
+	r, err := fresh().ReadStream(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(r); !errors.Is(err, ErrIntegrity) {
+		t.Errorf("ReadStream of tampered file: %v, want ErrIntegrity", err)
+	}
+	r.Close()
+	if _, err := fresh().ReadDir(ctx, "/big"); !errors.Is(err, ErrIntegrity) {
+		t.Errorf("ReadDir of tampered directory: %v, want ErrIntegrity", err)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // SegmentBlockService is implemented by block services with a streaming
 // segment read path (the live client's GetSegment): GetMany semantics
-// plus per-key not-found retries tuned for reads racing churn. The
-// streaming layer prefers it over plain GetMany.
+// plus per-key not-found retries tuned for reads racing churn. Content
+// reads prefer it over plain GetMany.
 type SegmentBlockService interface {
 	BatchBlockService
 	GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
@@ -285,69 +285,13 @@ func (r *streamReader) fetchSegment(seg *streamSegment, start, end int) {
 	sp.EndErr(seg.err)
 }
 
-// fillSegment fetches content blocks [start, end) into seg.buf, in
-// order. Pending writes and the read cache are consulted (read-your-
-// writes), but fetched blocks deliberately do NOT enter the read cache:
-// a multi-GB stream must not evict the hot metadata working set (§3's
-// cache exists for repeat reads, not one-pass scans).
+// fillSegment fetches content blocks [start, end) into seg.buf.
 func (v *Volume) fillSegment(ctx context.Context, cur pathCursor, ino *Inode, seg *streamSegment, start, end int) error {
-	n := end - start
-	var (
-		need []keys.Key
-		pos  []int // block index (file-wide) per needed key
-	)
-	fill := func(i int, data []byte) error {
-		if contentHash(data) != ino.BlockHashes[i] {
-			return fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
-		}
-		copy(seg.buf[(i-start)*BlockSize:], data)
-		return nil
-	}
-	for i := start; i < end; i++ {
-		k := cur.blockKey(uint64(i+1), ino.BlockVers[i])
-		if data, ok := v.cachedRead(k); ok {
-			v.metrics.cacheHits.Inc()
-			if err := fill(i, data); err != nil {
-				return err
-			}
-			continue
-		}
-		need = append(need, k)
-		pos = append(pos, i)
-	}
-	if len(need) > 0 {
-		var (
-			got map[keys.Key][]byte
-			err error
-		)
-		switch svc := v.svc.(type) {
-		case SegmentBlockService:
-			got, err = svc.GetSegment(ctx, need)
-		case BatchBlockService:
-			got, err = svc.GetMany(ctx, need)
-		}
-		if err != nil {
-			return err
-		}
-		for j, k := range need {
-			data, ok := got[k]
-			if !ok {
-				// Batch miss (stale owner, mid-churn move): the per-key
-				// path walks replicas and retries not-found answers.
-				data, err = v.svc.Get(ctx, k)
-				if err != nil {
-					return fmt.Errorf("fs: stream block %d: %w", pos[j]+1, err)
-				}
-			}
-			v.metrics.blocksRead.Inc()
-			v.metrics.bytesRead.Add(uint64(len(data)))
-			if err := fill(pos[j], data); err != nil {
-				return err
-			}
-		}
+	if err := v.fetchBlocks(ctx, cur, ino, start, end, seg.buf); err != nil {
+		return err
 	}
 	// Segment byte count: full blocks except possibly the file's last.
-	seg.n = n * BlockSize
+	seg.n = (end - start) * BlockSize
 	if end == len(ino.BlockVers) {
 		seg.n = int(ino.Size) - start*BlockSize
 	}

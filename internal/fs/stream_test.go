@@ -468,34 +468,51 @@ func TestStreamAdaptiveWindowShrinksOnSlowConsumer(t *testing.T) {
 }
 
 func TestStreamBypassesReadCache(t *testing.T) {
-	v, _ := newStreamVolume(t)
-	ctx := context.Background()
-	// File bigger than the configured cache cap.
-	v.opts.ReadCacheBytes = 4 * BlockSize
-	want := randBytes(4 * SegmentBytes)
-	if err := v.WriteFile(ctx, "/bypass.bin", want); err != nil {
-		t.Fatal(err)
+	readers := []struct {
+		name string
+		read func(v *Volume, ctx context.Context, path string) error
+	}{
+		{"ReadStream", func(v *Volume, ctx context.Context, path string) error {
+			r, err := v.ReadStream(ctx, path)
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			_, err = io.Copy(io.Discard, r)
+			return err
+		}},
+		{"ReadFile", func(v *Volume, ctx context.Context, path string) error {
+			_, err := v.ReadFile(ctx, path)
+			return err
+		}},
 	}
-	if err := v.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	v.dropReadCacheForTest()
-	r, err := v.ReadStream(ctx, "/bypass.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		t.Fatal(err)
-	}
-	v.cmu.Lock()
-	cached := v.rcacheBytes
-	entries := len(v.rcache)
-	v.cmu.Unlock()
-	// Only the metadata walked on open may be cached; the streamed
-	// content blocks must not be.
-	if cached > 2*BlockSize {
-		t.Errorf("stream populated the read cache: %d bytes in %d entries", cached, entries)
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			v, _ := newStreamVolume(t)
+			ctx := context.Background()
+			// File bigger than the configured cache cap.
+			v.opts.ReadCacheBytes = 4 * BlockSize
+			want := randBytes(4 * SegmentBytes)
+			if err := v.WriteFile(ctx, "/bypass.bin", want); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			v.dropReadCacheForTest()
+			if err := rd.read(v, ctx, "/bypass.bin"); err != nil {
+				t.Fatal(err)
+			}
+			v.cmu.Lock()
+			cached := v.rcacheBytes
+			entries := len(v.rcache)
+			v.cmu.Unlock()
+			// Only the metadata walked on open may be cached; the file's
+			// content blocks must not be.
+			if cached > 2*BlockSize {
+				t.Errorf("%s populated the read cache: %d bytes in %d entries", rd.name, cached, entries)
+			}
+		})
 	}
 }
 
@@ -503,6 +520,7 @@ func TestReadCacheByteCap(t *testing.T) {
 	v, _ := newStreamVolume(t)
 	ctx := context.Background()
 	v.opts.ReadCacheBytes = 8 * BlockSize
+	// A writer that never reads: 16 content blocks through an 8-block cap.
 	for i := 0; i < 8; i++ {
 		path := fmt.Sprintf("/hot%d", i)
 		if err := v.WriteFile(ctx, path, randBytes(2*BlockSize)); err != nil {
@@ -511,13 +529,6 @@ func TestReadCacheByteCap(t *testing.T) {
 	}
 	if err := v.Sync(ctx); err != nil {
 		t.Fatal(err)
-	}
-	v.dropReadCacheForTest()
-	// Whole-file reads of 32 blocks through an 8-block cap.
-	for i := 0; i < 8; i++ {
-		if _, err := v.ReadFile(ctx, fmt.Sprintf("/hot%d", i)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	v.cmu.Lock()
 	cached := v.rcacheBytes

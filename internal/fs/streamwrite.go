@@ -100,7 +100,14 @@ func (w *streamWriter) flushBlock() error {
 	data := append(make([]byte, 0, len(w.buf)), w.buf...)
 	ver := versionHash(data)
 	idx := uint64(len(w.ino.BlockVers) + 1)
-	if err := w.v.svc.Put(w.ctx, w.cur.blockKey(idx, ver), data); err != nil {
+	k := w.cur.blockKey(idx, ver)
+	// An unchanged block of an overwritten file keeps its key: drop the
+	// removal the open queued for it before the put, so no Sync can
+	// issue that removal after the block is written.
+	w.v.cmu.Lock()
+	delete(w.v.removes, k)
+	w.v.cmu.Unlock()
+	if err := w.v.svc.Put(w.ctx, k, data); err != nil {
 		return fmt.Errorf("fs: stream put block %d: %w", idx, err)
 	}
 	w.v.metrics.blocksWritten.Inc()

@@ -25,9 +25,9 @@ type BlockService interface {
 }
 
 // BatchBlockService is implemented by block services with a batched read
-// path (the live client's GetMany). Multi-block file reads use it to
-// fetch a file's whole key run in ~one RPC per owner instead of one per
-// block; plain BlockServices keep the sequential path.
+// path (the live client's GetMany). Content reads use it to fetch a
+// file's whole key run in ~one RPC per owner instead of one per block;
+// plain BlockServices fetch block by block.
 type BatchBlockService interface {
 	BlockService
 	GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
@@ -47,9 +47,10 @@ type Options struct {
 	// fs and DHT activity together).
 	Metrics *obs.Registry
 	// ReadCacheBytes caps the read cache's retained bytes (default
-	// 32 MiB). Streaming reads bypass the cache entirely, so a multi-GB
-	// stream cannot evict the hot metadata working set; this cap bounds
-	// what the whole-file read path can accumulate.
+	// 32 MiB). The cache holds metadata, directory content and this
+	// handle's own writes; file content fetched by ReadFile or
+	// ReadStream never enters it, so a one-pass read of a large file
+	// cannot evict the hot metadata working set.
 	ReadCacheBytes int64
 }
 
@@ -83,7 +84,7 @@ type Volume struct {
 	// holding mu can perform block IO.
 	cmu     sync.Mutex
 	pending map[keys.Key][]byte
-	removes []keys.Key
+	removes map[keys.Key]struct{}
 	rcache  map[keys.Key]cachedBlock
 	// rcacheBytes tracks the read cache's retained payload, enforced
 	// against opts.ReadCacheBytes by pruneCacheLocked.
@@ -171,6 +172,7 @@ func Create(ctx context.Context, svc BlockService, name string, priv ed25519.Pri
 		priv:    priv,
 		opts:    opts,
 		pending: make(map[keys.Key][]byte),
+		removes: make(map[keys.Key]struct{}),
 		rcache:  make(map[keys.Key]cachedBlock),
 		stop:    make(chan struct{}),
 		metrics: newVolumeMetrics(opts.Metrics),
@@ -204,6 +206,7 @@ func Open(ctx context.Context, svc BlockService, name string, pub ed25519.Public
 		priv:    priv,
 		opts:    opts,
 		pending: make(map[keys.Key][]byte),
+		removes: make(map[keys.Key]struct{}),
 		rcache:  make(map[keys.Key]cachedBlock),
 		stop:    make(chan struct{}),
 		metrics: newVolumeMetrics(opts.Metrics),
@@ -359,19 +362,20 @@ func (v *Volume) cacheRead(k keys.Key, data []byte) {
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
 	v.cacheStoreLocked(k, data)
-	if len(v.rcache) > 4096 || v.rcacheBytes > v.opts.ReadCacheBytes {
-		v.pruneCacheLocked()
-	}
 }
 
 // cacheStoreLocked inserts or replaces a read-cache entry, keeping the
-// byte accounting exact across replacements.
+// byte accounting exact across replacements, and prunes the cache once
+// it outgrows its entry or byte cap.
 func (v *Volume) cacheStoreLocked(k keys.Key, data []byte) {
 	if prev, ok := v.rcache[k]; ok {
 		v.rcacheBytes -= int64(len(prev.data))
 	}
 	v.rcache[k] = cachedBlock{data: data, at: time.Now()}
 	v.rcacheBytes += int64(len(data))
+	if len(v.rcache) > 4096 || v.rcacheBytes > v.opts.ReadCacheBytes {
+		v.pruneCacheLocked()
+	}
 }
 
 // pruneCacheLocked evicts expired read-cache entries, then — if the
@@ -410,13 +414,16 @@ func (v *Volume) pruneCacheLocked() {
 	}
 }
 
-// writeBlock buffers a block write.
+// writeBlock buffers a block write. A block whose bytes an overwrite
+// left unchanged keeps its content-hash key, so the write also drops
+// the removal that overwrite queued for the key.
 func (v *Volume) writeBlock(k keys.Key, data []byte) {
 	v.metrics.blocksWritten.Inc()
 	v.metrics.bytesWritten.Add(uint64(len(data)))
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
 	v.pending[k] = data
+	delete(v.removes, k)
 	v.cacheStoreLocked(k, data)
 }
 
@@ -426,39 +433,40 @@ func (v *Volume) removeBlock(k keys.Key) {
 	v.metrics.removes.Inc()
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
-	v.removes = append(v.removes, k)
+	v.removes[k] = struct{}{}
 }
 
-// Sync flushes buffered writes (in key order, which keeps contiguous
-// ranges contiguous on the wire) and issues queued removals.
+// Sync flushes buffered writes and then queued removals, each in key
+// order (which keeps contiguous ranges contiguous on the wire).
 func (v *Volume) Sync(ctx context.Context) error {
 	v.metrics.syncs.Inc()
 	v.cmu.Lock()
-	batch := make([]keys.Key, 0, len(v.pending))
-	for k := range v.pending {
-		batch = append(batch, k)
-	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Less(batch[j]) })
-	data := make(map[keys.Key][]byte, len(batch))
-	for _, k := range batch {
-		data[k] = v.pending[k]
-	}
-	removes := v.removes
+	pending, removes := v.pending, v.removes
 	v.pending = make(map[keys.Key][]byte)
-	v.removes = nil
+	v.removes = make(map[keys.Key]struct{})
 	v.cmu.Unlock()
 
-	for _, k := range batch {
-		if err := v.svc.Put(ctx, k, data[k]); err != nil {
+	for _, k := range sortedKeys(pending) {
+		if err := v.svc.Put(ctx, k, pending[k]); err != nil {
 			return fmt.Errorf("fs: sync put %s: %w", k.Short(), err)
 		}
 	}
-	for _, k := range removes {
+	for _, k := range sortedKeys(removes) {
 		if err := v.svc.Remove(ctx, k); err != nil {
 			return fmt.Errorf("fs: sync remove %s: %w", k.Short(), err)
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns m's keys in key order.
+func sortedKeys[V any](m map[keys.Key]V) []keys.Key {
+	out := make([]keys.Key, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
 }
 
 // --- path resolution ---
@@ -545,7 +553,7 @@ func (v *Volume) readInode(ctx context.Context, cur pathCursor, ver uint32, hash
 }
 
 // readContent returns a file or directory's full content bytes. Under a
-// trace the assembly is one fs.assemble span: block count in, integrity-
+// trace the fetch is one fs.assemble span: block count in, integrity-
 // checked bytes out.
 func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([]byte, error) {
 	if ino.Size == 0 {
@@ -558,73 +566,80 @@ func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([
 	if sp != nil {
 		sp.Annotate("blocks", len(ino.BlockVers), "bytes", ino.Size)
 	}
-	out, err := v.assembleBlocks(ctx, cur, ino)
+	out := make([]byte, ino.Size)
+	err := v.fetchBlocks(ctx, cur, ino, 0, len(ino.BlockVers), out)
 	sp.EndErr(err)
-	return out, err
-}
-
-// assembleBlocks fetches and verifies a file's content blocks.
-func (v *Volume) assembleBlocks(ctx context.Context, cur pathCursor, ino *Inode) ([]byte, error) {
-	blks := make([][]byte, len(ino.BlockVers))
-	if batch, ok := v.svc.(BatchBlockService); ok && len(ino.BlockVers) > 1 {
-		if err := v.fetchBlocksBatched(ctx, batch, cur, ino, blks); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, ver := range ino.BlockVers {
-			data, err := v.readBlock(ctx, cur.blockKey(uint64(i+1), ver))
-			if err != nil {
-				return nil, err
-			}
-			blks[i] = data
-		}
-	}
-	out := make([]byte, 0, ino.Size)
-	for i, data := range blks {
-		if contentHash(data) != ino.BlockHashes[i] {
-			return nil, fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
-		}
-		out = append(out, data...)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// fetchBlocksBatched fills blks with the file's data blocks, fetching
-// cache misses through the service's batched read path. A file's blocks
-// form one contiguous key run (§4), so the batch usually costs one RPC
-// per owner; blocks the batch could not resolve retry on the sequential
-// path (which walks replicas) before failing.
-func (v *Volume) fetchBlocksBatched(ctx context.Context, batch BatchBlockService, cur pathCursor, ino *Inode, blks [][]byte) error {
-	var missing []keys.Key
-	at := make(map[keys.Key]int, len(ino.BlockVers))
-	for i, ver := range ino.BlockVers {
-		k := cur.blockKey(uint64(i+1), ver)
-		if data, ok := v.cachedRead(k); ok {
-			blks[i] = data
-			continue
+// fetchBlocks copies content blocks [start, end) of ino into dst, in
+// order, each checked against the inode's content hash. Pending writes
+// and the read cache serve what they hold (read-your-writes); the rest
+// is one batched fetch. A file's blocks form one contiguous key run
+// (§4), so the batch costs about one RPC per owner; keys it misses
+// (stale owner, mid-churn move) retry on the per-key path, which walks
+// replicas. Fetched blocks enter the read cache only for directories:
+// file content is read in one pass, whole or streamed, and caching it
+// would evict the hot metadata working set (§3's cache is for repeat
+// reads).
+func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, start, end int, dst []byte) error {
+	var (
+		need []keys.Key
+		pos  []int // block index per needed key
+	)
+	fill := func(i int, data []byte) error {
+		if contentHash(data) != ino.BlockHashes[i] {
+			return fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
 		}
-		at[k] = i
-		missing = append(missing, k)
-	}
-	if len(missing) == 0 {
+		copy(dst[(i-start)*BlockSize:], data)
 		return nil
 	}
-	got, err := batch.GetMany(ctx, missing)
+	for i := start; i < end; i++ {
+		k := cur.blockKey(uint64(i+1), ino.BlockVers[i])
+		if data, ok := v.cachedRead(k); ok {
+			v.metrics.cacheHits.Inc()
+			if err := fill(i, data); err != nil {
+				return err
+			}
+			continue
+		}
+		need = append(need, k)
+		pos = append(pos, i)
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	var (
+		got map[keys.Key][]byte
+		err error
+	)
+	switch svc := v.svc.(type) {
+	case SegmentBlockService:
+		got, err = svc.GetSegment(ctx, need)
+	case BatchBlockService:
+		got, err = svc.GetMany(ctx, need)
+	}
 	if err != nil {
 		return err
 	}
-	for k, i := range at {
+	for j, k := range need {
 		data, ok := got[k]
 		if !ok {
-			data, err = v.readBlock(ctx, k)
-			if err != nil {
-				return err
+			if data, err = v.svc.Get(ctx, k); err != nil {
+				return fmt.Errorf("fs: block %d: %w", pos[j]+1, err)
 			}
-			blks[i] = data
-			continue
 		}
-		v.cacheRead(k, data)
-		blks[i] = data
+		v.metrics.blocksRead.Inc()
+		v.metrics.bytesRead.Add(uint64(len(data)))
+		if err := fill(pos[j], data); err != nil {
+			return err
+		}
+		if ino.IsDir {
+			v.cacheRead(k, data)
+		}
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -12,8 +11,8 @@ import (
 	"github.com/defragdht/d2/internal/transport"
 )
 
-// batchFanout bounds the concurrent per-owner RPCs a single GetMany or
-// ReadRange issues.
+// batchFanout bounds the concurrent per-owner RPCs a single GetMany
+// issues.
 const batchFanout = 8
 
 // maxBatchKeys caps the keys in one MultiGet RPC. With D2's contiguous
@@ -22,16 +21,6 @@ const batchFanout = 8
 // transport's frame cap. 1024 full blocks ≈ 8 MB per response, an 8×
 // margin, and the chunks pipeline across the fan-out semaphore anyway.
 const maxBatchKeys = 1024
-
-// maxRangeParts bounds the owners one ReadRange may visit (a full ring
-// walk on a pathological cache would otherwise loop).
-const maxRangeParts = 1024
-
-// RangeEntry is one block returned by ReadRange, in key order.
-type RangeEntry struct {
-	Key  keys.Key
-	Data []byte
-}
 
 // ownerGroup is a run of sorted keys resolving to one owner.
 type ownerGroup struct {
@@ -191,113 +180,4 @@ func (c *Client) multiGet(ctx context.Context, g ownerGroup) (found map[keys.Key
 		}
 	}
 	return found, missed
-}
-
-// ReadRange reads every block stored in the circular arc (lo, hi]: the
-// arc is partitioned by owner range — each partition is the intersection
-// of the arc with one node's (pred, self] — and each owner is sent
-// FetchRange RPCs for its partition. With D2's locality-preserving keys a
-// whole file (or directory subtree) is one arc, so this reads it in ~one
-// RPC per owner instead of one per block. Blocks are returned in key
-// order. Requires lo != hi (a full-ring scan has no defined start).
-func (c *Client) ReadRange(ctx context.Context, lo, hi keys.Key) ([]RangeEntry, error) {
-	sctx, sp := c.tracer.StartOp(ctx, "client.read_range")
-	if !opTraced(sctx, sp) {
-		return c.readRange(ctx, lo, hi)
-	}
-	var out []RangeEntry
-	var err error
-	pprof.Do(sctx, pprof.Labels("d2_op", "client.read_range"), func(cx context.Context) {
-		out, err = c.readRange(cx, lo, hi)
-	})
-	if sp != nil {
-		sp.Annotate("blocks", len(out))
-	}
-	sp.EndErr(err)
-	return out, err
-}
-
-// readRange is ReadRange without the tracing shell.
-func (c *Client) readRange(ctx context.Context, lo, hi keys.Key) ([]RangeEntry, error) {
-	if lo.Equal(hi) {
-		return nil, errors.New("node: ReadRange needs a proper arc (lo != hi)")
-	}
-	var out []RangeEntry
-	cur := lo
-	for part := 0; part < maxRangeParts; part++ {
-		owner, err := c.Lookup(ctx, cur.Next())
-		if err != nil {
-			return nil, err
-		}
-		// One span per owner segment: the arc∩(pred, self] unit ReadRange
-		// fans out over.
-		gctx, gsp := c.tracer.StartSpan(ctx, "range.segment")
-		if gsp != nil {
-			gsp.Annotate("owner", owner.Addr)
-		}
-		entries, segHi, last, err := c.fetchSegment(gctx, owner, cur, hi)
-		if err != nil {
-			// Stale cache: re-resolve the owner once and retry.
-			c.invalidate(cur.Next())
-			owner, err = c.freshLookup(gctx, cur.Next())
-			if err != nil {
-				gsp.EndErr(err)
-				return nil, err
-			}
-			entries, segHi, last, err = c.fetchSegment(gctx, owner, cur, hi)
-			if err != nil {
-				gsp.EndErr(err)
-				return nil, err
-			}
-		}
-		if gsp != nil {
-			gsp.Annotate("blocks", len(entries))
-		}
-		gsp.End()
-		out = append(out, entries...)
-		if last {
-			return out, nil
-		}
-		cur = segHi
-	}
-	return nil, errors.New("node: range spans too many owners")
-}
-
-// fetchSegment reads the part of (cur, hi] owned by owner: the arc
-// (cur, min(owner.ID, hi)], paginating through FetchRange responses and
-// chasing pointer redirects. last reports that the segment reached hi.
-func (c *Client) fetchSegment(ctx context.Context, owner transport.PeerInfo, cur, hi keys.Key) (entries []RangeEntry, segHi keys.Key, last bool, err error) {
-	segHi = owner.ID
-	if hi.Between(cur, owner.ID) {
-		segHi, last = hi, true
-	}
-	lo := cur
-	for {
-		resp, rerr := transport.Expect[*transport.FetchRangeResp](
-			c.call(ctx, owner.Addr, &transport.FetchRangeReq{Lo: lo, Hi: segHi}))
-		if rerr != nil {
-			return nil, segHi, last, rerr
-		}
-		for _, it := range resp.Items {
-			if !it.Key.Between(cur, segHi) {
-				continue // defensive: never return keys outside the asked arc
-			}
-			if it.Redirect != "" {
-				data, gerr := c.getFrom(ctx, it.Redirect, it.Key)
-				if gerr != nil {
-					continue // pointer target gone; skip like a missing block
-				}
-				entries = append(entries, RangeEntry{Key: it.Key, Data: data})
-				continue
-			}
-			entries = append(entries, RangeEntry{Key: it.Key, Data: it.Data})
-		}
-		if !resp.More {
-			return entries, segHi, last, nil
-		}
-		if len(resp.Items) == 0 {
-			return nil, segHi, last, fmt.Errorf("node: FetchRange from %s made no progress", owner.Addr)
-		}
-		lo = resp.Items[len(resp.Items)-1].Key
-	}
 }

@@ -142,75 +142,6 @@ func TestGetManyFollowsPointerRedirects(t *testing.T) {
 	}
 }
 
-func TestReadRangeReturnsArcInOrder(t *testing.T) {
-	net := transport.NewMemNetwork(0)
-	nodes := startRing(t, net, 8, nil)
-	defer closeAll(t, nodes)
-	c := newClient(t, net, nodes)
-	defer c.Close()
-
-	base := keys.HashString("range-file").FileBase()
-	ks := putFile(t, c, base, 30)
-	time.Sleep(150 * time.Millisecond) // replicas settle
-
-	// (base, last block] covers exactly the file's blocks.
-	entries, err := c.ReadRange(context.Background(), base, ks[len(ks)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(ks) {
-		t.Fatalf("ReadRange returned %d blocks, want %d", len(entries), len(ks))
-	}
-	for i, e := range entries {
-		if !e.Key.Equal(ks[i]) {
-			t.Fatalf("entry %d: key %s, want %s", i, e.Key.Short(), ks[i].Short())
-		}
-		if !bytes.Equal(e.Data, blockPayload(i)) {
-			t.Fatalf("entry %d: data %q", i, e.Data)
-		}
-	}
-}
-
-func TestReadRangePaginatesLargeSegments(t *testing.T) {
-	net := transport.NewMemNetwork(0)
-	// Single node: the whole run lives in one segment, so a tiny
-	// FetchRange limit forces the More/resume path. We drive fetchSegment
-	// with an explicit limit via the raw RPC to keep the test direct.
-	n := Start(net.NewEndpoint(), testConfig(1))
-	defer n.Close()
-	c := newClient(t, net, []*Node{n})
-	defer c.Close()
-
-	base := keys.HashString("paging").FileBase()
-	ks := putFile(t, c, base, 12)
-
-	ctx := context.Background()
-	var got []keys.Key
-	lo := base
-	for {
-		resp, err := transport.Expect[*transport.FetchRangeResp](
-			c.call(ctx, n.Self().Addr, &transport.FetchRangeReq{Lo: lo, Hi: ks[len(ks)-1], Limit: 5}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range resp.Items {
-			got = append(got, it.Key)
-		}
-		if !resp.More {
-			break
-		}
-		lo = resp.Items[len(resp.Items)-1].Key
-	}
-	if len(got) != len(ks) {
-		t.Fatalf("paged scan returned %d keys, want %d", len(got), len(ks))
-	}
-	for i, k := range got {
-		if !k.Equal(ks[i]) {
-			t.Fatalf("page order broken at %d", i)
-		}
-	}
-}
-
 // TestBatchedReadRPCSavings is the PR's acceptance check: on a 50-node
 // ring, reading a 64-block D2 file via GetMany must cost at least 5×
 // fewer RPCs than reading it block by block.

@@ -43,7 +43,7 @@ type Client struct {
 	fanout     *obs.Histogram // owner groups per GetMany
 	nfRetries  *obs.Counter   // not-found retries in Get (§8.1 transients)
 	lookupHops *obs.Histogram // hops per fresh lookup
-	segments   *obs.Counter   // GetSegment calls (streaming read path)
+	segments   *obs.Counter   // GetSegment calls (fs content reads)
 	segRetries *obs.Counter   // per-key segment re-resolves under churn
 }
 

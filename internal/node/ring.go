@@ -32,8 +32,6 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req transport.
 		return n.handleGet(ctx, r), nil
 	case *transport.MultiGetReq:
 		return n.handleMultiGet(ctx, r), nil
-	case *transport.FetchRangeReq:
-		return n.handleFetchRange(r), nil
 	case *transport.RemoveReq:
 		return n.handleRemove(ctx, r), nil
 	case *transport.PutPtrReq:

@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"runtime/pprof"
 	"time"
 
@@ -96,8 +95,3 @@ func missingKeys(ks []keys.Key, got map[keys.Key][]byte) []keys.Key {
 	}
 	return out
 }
-
-// ErrSegmentIncomplete marks a segment fetch that exhausted its retry
-// budget with keys still missing (exported for callers that treat a
-// hole as fatal rather than skippable).
-var ErrSegmentIncomplete = errors.New("node: segment incomplete after retries")

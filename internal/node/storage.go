@@ -15,12 +15,16 @@ import (
 
 // handlePut stores a replica; when Replicate is set (the primary's copy),
 // the block is forwarded to the r-1 following successors. A refused
-// root put (an older root) is acknowledged but not forwarded.
+// root put (an older root) is acknowledged but not forwarded. A put
+// cancels any delayed removal pending for its key: the writer wants the
+// block again (an overwrite that kept an unchanged block, or a revert
+// to earlier content), and the old timer would delete the new copy.
 func (n *Node) handlePut(ctx context.Context, r *transport.PutReq) transport.Message {
 	ttl := time.Duration(r.TTL) * time.Second
 	if ttl == 0 {
 		ttl = n.cfg.DefaultTTL
 	}
+	n.cancelRemoval(r.Key)
 	data, ok := n.store(ctx, r.Key, r.Data, ttl, r.Replicate)
 	if !ok {
 		return &transport.PutResp{}
@@ -113,34 +117,6 @@ func (n *Node) handleMultiGet(ctx context.Context, r *transport.MultiGetReq) tra
 	return resp
 }
 
-// fetchRangeMaxItems caps one FetchRange response; larger scans paginate
-// via the More flag.
-const fetchRangeMaxItems = 4096
-
-// handleFetchRange ships every block held in the arc (Lo, Hi] with its
-// data — the read-path counterpart of handleRange. Pointer entries become
-// redirects so the caller can chase the data.
-func (n *Node) handleFetchRange(r *transport.FetchRangeReq) transport.Message {
-	limit := r.Limit
-	if limit <= 0 || limit > fetchRangeMaxItems {
-		limit = fetchRangeMaxItems
-	}
-	items, more := n.st.ArcLimit(r.Lo, r.Hi, limit)
-	// Pooled response; see handleMultiGet.
-	resp := transport.AcquireFetchRangeResp()
-	resp.More = more
-	for _, it := range items {
-		bi := transport.BatchItem{Key: it.Key, Found: true}
-		if it.Block.IsPointer() {
-			bi.Redirect = it.Block.Pointer
-		} else {
-			bi.Data = it.Block.Data
-		}
-		resp.Items = append(resp.Items, bi)
-	}
-	return resp
-}
-
 // handleRemove deletes a block after the removal delay (§3), forwarding to
 // the replica group when asked.
 func (n *Node) handleRemove(ctx context.Context, r *transport.RemoveReq) transport.Message {
@@ -155,7 +131,8 @@ func (n *Node) handleRemove(ctx context.Context, r *transport.RemoveReq) transpo
 	return &transport.RemoveResp{}
 }
 
-// scheduleRemoval arms (or re-arms) the delayed delete for a key.
+// scheduleRemoval arms (or re-arms) the delayed delete for a key. A
+// timer that fires after it was cancelled or replaced deletes nothing.
 func (n *Node) scheduleRemoval(k keys.Key, delay time.Duration) {
 	n.metrics.removals.Inc()
 	n.mu.Lock()
@@ -163,12 +140,29 @@ func (n *Node) scheduleRemoval(k keys.Key, delay time.Duration) {
 	if t, ok := n.removeTimers[k]; ok {
 		t.Stop()
 	}
-	n.removeTimers[k] = time.AfterFunc(delay, func() {
-		n.st.Delete(k)
+	var t *time.Timer
+	t = time.AfterFunc(delay, func() {
 		n.mu.Lock()
-		delete(n.removeTimers, k)
+		live := n.removeTimers[k] == t
+		if live {
+			delete(n.removeTimers, k)
+		}
 		n.mu.Unlock()
+		if live {
+			n.st.Delete(k)
+		}
 	})
+	n.removeTimers[k] = t
+}
+
+// cancelRemoval stops the delayed delete pending for k, if any.
+func (n *Node) cancelRemoval(k keys.Key) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if t, ok := n.removeTimers[k]; ok {
+		t.Stop()
+		delete(n.removeTimers, k)
+	}
 }
 
 // doomed reports whether k has a delayed removal pending. Repair and

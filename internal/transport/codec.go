@@ -3,9 +3,9 @@
 // internal/wire. No reflection, no interface boxing, no per-message type
 // dictionaries — the encoder appends straight into a pooled buffer and
 // large payloads ride out as borrowed net.Buffers segments (writev), so a
-// 64-item FetchRangeResp leaves the process without a coalescing copy.
+// 64-item MultiGetResp leaves the process without a coalescing copy.
 //
-// Frame layout (v2), big-endian:
+// Frame layout (v3), big-endian:
 //
 //	u32  len    — byte count of everything after this field
 //	u8   ver    — wireVersion; receivers reject other versions
@@ -48,8 +48,8 @@ const (
 	// wireVersion is the protocol generation. Bump on any layout change;
 	// receivers drop frames from other generations instead of guessing.
 	// v2 replaced the three scrape pairs (stats, health, census) with
-	// NodeReportReq/NodeReportResp.
-	wireVersion = 2
+	// NodeReportReq/NodeReportResp; v3 dropped the unused arc-read pair.
+	wireVersion = 3
 
 	// flagCRC marks a frame carrying a trailing CRC-32C.
 	flagCRC = 0x01
@@ -100,8 +100,6 @@ const (
 	tRangeResp
 	tMultiGetReq
 	tMultiGetResp
-	tFetchRangeReq
-	tFetchRangeResp
 	tPutPtrReq
 	tPutPtrResp
 	tSampleReq
@@ -161,10 +159,6 @@ func wireType(m Message) byte {
 		return tMultiGetReq
 	case *MultiGetResp:
 		return tMultiGetResp
-	case *FetchRangeReq:
-		return tFetchRangeReq
-	case *FetchRangeResp:
-		return tFetchRangeResp
 	case *PutPtrReq:
 		return tPutPtrReq
 	case *PutPtrResp:
@@ -197,7 +191,6 @@ var borrows = [numWireTypes]bool{
 	tPutReq:         true,
 	tGetResp:        true,
 	tMultiGetResp:   true,
-	tFetchRangeResp: true,
 	tRangeResp:      true,
 	tNodeReportResp: true,
 }
@@ -231,8 +224,6 @@ var msgPools = [numWireTypes]*sync.Pool{
 	tRangeResp:      {New: func() any { return new(RangeResp) }},
 	tMultiGetReq:    {New: func() any { return new(MultiGetReq) }},
 	tMultiGetResp:   {New: func() any { return new(MultiGetResp) }},
-	tFetchRangeReq:  {New: func() any { return new(FetchRangeReq) }},
-	tFetchRangeResp: {New: func() any { return new(FetchRangeResp) }},
 	tPutPtrReq:      {New: func() any { return new(PutPtrReq) }},
 	tPutPtrResp:     {New: func() any { return new(PutPtrResp) }},
 	tSampleReq:      {New: func() any { return new(SampleReq) }},
@@ -254,20 +245,11 @@ func recycleMessage(m Message) {
 	}
 }
 
-// AcquireFetchRangeResp returns a pooled response whose Items slice keeps
+// AcquireMultiGetResp returns a pooled response whose Items slice keeps
 // its capacity across uses. A response built this way is recycled by the
 // TCP transport after it is written to the wire, so a busy server's bulk
 // read path stops allocating response scaffolding per RPC. Over the mem
 // transport the struct simply escapes to the caller (never recycled).
-func AcquireFetchRangeResp() *FetchRangeResp {
-	r := msgPools[tFetchRangeResp].Get().(*FetchRangeResp)
-	r.Items = r.Items[:0]
-	r.More = false
-	r.pooled = true
-	return r
-}
-
-// AcquireMultiGetResp is AcquireFetchRangeResp for MultiGetResp.
 func AcquireMultiGetResp() *MultiGetResp {
 	r := msgPools[tMultiGetResp].Get().(*MultiGetResp)
 	r.Items = r.Items[:0]
@@ -280,11 +262,6 @@ func AcquireMultiGetResp() *MultiGetResp {
 // through untouched.
 func recycleResponse(m Message) {
 	switch v := m.(type) {
-	case *FetchRangeResp:
-		if v.pooled {
-			v.pooled = false
-			msgPools[tFetchRangeResp].Put(v)
-		}
 	case *MultiGetResp:
 		if v.pooled {
 			v.pooled = false
@@ -558,19 +535,6 @@ func (e *frameEncoder) body(typ byte, m Message) {
 		e.buf = wire.AppendU32(b, uint32(len(v.Items)))
 		e.batchItems(v.Items)
 		return
-	case tFetchRangeReq:
-		v := m.(*FetchRangeReq)
-		b = append(b, v.Lo[:]...)
-		b = append(b, v.Hi[:]...)
-		b = wire.AppendI64(b, int64(v.Limit))
-		e.buf = b
-		return
-	case tFetchRangeResp:
-		v := m.(*FetchRangeResp)
-		b = wire.AppendBool(b, v.More)
-		e.buf = wire.AppendU32(b, uint32(len(v.Items)))
-		e.batchItems(v.Items)
-		return
 	case tPutPtrReq:
 		v := m.(*PutPtrReq)
 		b = append(b, v.Key[:]...)
@@ -637,8 +601,8 @@ func (e *frameEncoder) body(typ byte, m Message) {
 	}
 }
 
-// batchItems appends a run of BatchItems (shared by MultiGetResp and
-// FetchRangeResp). The caller has already written the count.
+// batchItems appends MultiGetResp's run of BatchItems. The caller has
+// already written the count.
 func (e *frameEncoder) batchItems(items []BatchItem) {
 	for i := range items {
 		it := &items[i]
@@ -823,16 +787,6 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 		}
 	case tMultiGetResp:
 		v := m.(*MultiGetResp)
-		n := r.Count(minBatchItem)
-		v.Items = readBatchItems(r, sliceFor(v.Items, n))
-	case tFetchRangeReq:
-		v := m.(*FetchRangeReq)
-		readKey(r, &v.Lo)
-		readKey(r, &v.Hi)
-		v.Limit = int(r.I64())
-	case tFetchRangeResp:
-		v := m.(*FetchRangeResp)
-		v.More = r.Bool()
 		n := r.Count(minBatchItem)
 		v.Items = readBatchItems(r, sliceFor(v.Items, n))
 	case tPutPtrReq:

@@ -13,8 +13,8 @@ import (
 	"github.com/defragdht/d2/internal/wire"
 )
 
-// benchMessages is the per-type benchmark matrix; FetchRangeResp/64 is
-// the bulk-migration shape the vectored writer exists for.
+// benchMessages is the per-type benchmark matrix; MultiGetResp/64 is
+// the bulk-read shape the vectored writer exists for.
 func benchMessages() []struct {
 	name string
 	msg  Message
@@ -38,7 +38,7 @@ func benchMessages() []struct {
 		{"GetResp/4KiB", &GetResp{Found: true, Data: blk}},
 		{"NeighborsResp", &NeighborsResp{Self: testPeer(1), Pred: testPeer(2), Succs: []PeerInfo{testPeer(3), testPeer(4), testPeer(5)}}},
 		{"MultiGetReq/16", &MultiGetReq{Keys: make([]keys.Key, 16)}},
-		{"FetchRangeResp/64", &FetchRangeResp{Items: items}},
+		{"MultiGetResp/64", &MultiGetResp{Items: items}},
 		{"TraceFetchResp/16", &TraceFetchResp{Spans: spans}},
 	}
 }

@@ -89,11 +89,11 @@ func sampleMessages() []Message {
 			{Key: testKey(24), Found: true, Data: []byte("mg")},
 			{Key: testKey(25), Redirect: "10.2.2.2:7000"},
 		}},
-		&FetchRangeReq{Lo: testKey(26), Hi: testKey(27), Limit: 64},
-		&FetchRangeResp{More: true, Items: []BatchItem{
-			{Key: testKey(28), Found: true, Data: big},
-			{Key: testKey(29), Found: true, Data: []byte("fr")},
+		&MultiGetResp{Items: []BatchItem{
+			{Key: testKey(26), Found: true, Data: big},
+			{Key: testKey(27), Found: true, Data: []byte("mg")},
 		}},
+		&MultiGetResp{Items: []BatchItem{{Key: testKey(28)}, {Key: testKey(29), Found: true}}},
 		&PutPtrReq{Key: testKey(30), Target: "10.3.3.3:7000", Size: 4096},
 		&PutPtrResp{},
 		&SampleReq{Hops: 5},
@@ -175,11 +175,12 @@ func TestCodecRoundTripRecycled(t *testing.T) {
 	}
 }
 
-// goldenFrames pins the v2 wire encoding byte for byte. v2 changed no
-// fixture's layout or type byte, so these differ from their v1 pins only
-// in the version byte (frame offset 4). If one of these
-// fails, the change is a wire-protocol break: bump wireVersion and add a
-// new fixture set instead of editing these.
+// goldenFrames pins the v3 wire encoding byte for byte. v3 dropped the
+// unused arc-read pair, which moved every later type byte down by two
+// (ErrResp here); the other fixtures differ from their v2 pins only in
+// the version byte (frame offset 4). MultiGetResp pins the BatchItem
+// layout. If one of these fails, the change is a wire-protocol break:
+// bump wireVersion and add a new fixture set instead of editing these.
 var goldenFrames = []struct {
 	name string
 	msg  Message
@@ -188,19 +189,19 @@ var goldenFrames = []struct {
 	{
 		name: "PingReq",
 		msg:  &PingReq{},
-		hex:  "0000001d02000101000000000000002a000000000000000000000000000000006e",
+		hex:  "0000001d03000101000000000000002a000000000000000000000000000000006e",
 	},
 	{
 		name: "GetReq",
 		msg:  &GetReq{Key: testKey(3)},
-		hex: "0000005d02000b01000000000000002a000000000000000000000000000000006e" +
+		hex: "0000005d03000b01000000000000002a000000000000000000000000000000006e" +
 			"030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324" +
 			"25262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142",
 	},
 	{
 		name: "PutReq",
 		msg:  &PutReq{Key: testKey(5), Data: []byte("block"), Replicate: true, TTL: 60},
-		hex: "0000006f02000901000000000000002a000000000000000000000000000000006e" +
+		hex: "0000006f03000901000000000000002a000000000000000000000000000000006e" +
 			"05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526" +
 			"2728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f4041424344" +
 			"01000000000000003c00000005626c6f636b",
@@ -208,7 +209,7 @@ var goldenFrames = []struct {
 	{
 		name: "FindSuccResp",
 		msg:  &FindSuccResp{Done: true, Node: testPeer(1), Pred: testPeer(2)},
-		hex: "000000bc02000401000000000000002a000000000000000000000000000000006e01" +
+		hex: "000000bc03000401000000000000002a000000000000000000000000000000006e01" +
 			"0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122" +
 			"232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40" +
 			"000d31302e302e302e313a37303030" +
@@ -217,10 +218,10 @@ var goldenFrames = []struct {
 			"000d31302e302e302e323a37303030",
 	},
 	{
-		name: "FetchRangeResp",
-		msg:  &FetchRangeResp{More: true, Items: []BatchItem{{Key: testKey(9), Found: true, Data: []byte("it")}}},
-		hex: "0000006b02001801000000000000002a000000000000000000000000000000006e" +
-			"0100000001" +
+		name: "MultiGetResp",
+		msg:  &MultiGetResp{Items: []BatchItem{{Key: testKey(9), Found: true, Data: []byte("it")}}},
+		hex: "0000006a03001601000000000000002a000000000000000000000000000000006e" +
+			"00000001" +
 			"090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526272829" +
 			"2a2b2c2d2e2f303132333435363738393a3b3c3d3e3f4041424344454647" +
 			"48010000000000026974",
@@ -228,13 +229,13 @@ var goldenFrames = []struct {
 	{
 		name: "ErrResp",
 		msg:  &ErrResp{Err: "boom"},
-		hex:  "0000002502002101000000000000002a000000000000000000000000000000006e00000004626f6f6d",
+		hex:  "0000002503001f01000000000000002a000000000000000000000000000000006e00000004626f6f6d",
 	},
 }
 
-// TestCodecGoldenV2 checks pinned fixtures; regenerate with -run
-// TestCodecGoldenV2 -v on mismatch and inspect the diff before accepting.
-func TestCodecGoldenV2(t *testing.T) {
+// TestCodecGoldenV3 checks pinned fixtures; regenerate with -run
+// TestCodecGoldenV3 -v on mismatch and inspect the diff before accepting.
+func TestCodecGoldenV3(t *testing.T) {
 	for _, g := range goldenFrames {
 		frame := encodeFrame(t, 42, 0, 0, "n", g.msg, false)
 		if g.hex == "" {
@@ -285,20 +286,23 @@ func TestCodecMalformedRejected(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
-	t.Run("v1 frame", func(t *testing.T) {
-		// A v1 peer's frame: a golden fixture with the old version byte.
-		for _, g := range goldenFrames {
-			f, err := hex.DecodeString(g.hex)
-			if err != nil {
-				t.Fatal(err)
+	for old := byte(1); old < wireVersion; old++ {
+		t.Run(fmt.Sprintf("v%d frame", old), func(t *testing.T) {
+			// An older peer's frame: a golden fixture with its version byte.
+			for _, g := range goldenFrames {
+				f, err := hex.DecodeString(g.hex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f[4] = old
+				want := fmt.Sprintf("wire version %d (want %d)", old, wireVersion)
+				if _, _, err := decodeFrame(f); !errors.Is(err, wire.ErrMalformed) ||
+					!strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: err = %v", g.name, err)
+				}
 			}
-			f[4] = 1
-			if _, _, err := decodeFrame(f); !errors.Is(err, wire.ErrMalformed) ||
-				!strings.Contains(err.Error(), "wire version 1 (want 2)") {
-				t.Fatalf("%s: err = %v", g.name, err)
-			}
-		}
-	})
+		})
+	}
 	t.Run("unknown type", func(t *testing.T) {
 		for _, typ := range []byte{tInvalid, numWireTypes, 0xFF} {
 			f := append([]byte(nil), valid...)

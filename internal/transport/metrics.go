@@ -21,7 +21,6 @@ const (
 	kindPut
 	kindGet
 	kindMultiGet
-	kindFetchRange
 	kindRemove
 	kindLoad
 	kindSplit
@@ -36,7 +35,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"ping", "find_succ", "neighbors", "notify", "put", "get",
-	"multi_get", "fetch_range", "remove", "load", "split", "range",
+	"multi_get", "remove", "load", "split", "range",
 	"put_ptr", "sample", "node_report", "trace_fetch", "other",
 }
 
@@ -57,8 +56,6 @@ func kindOf(m Message) rpcKind {
 		return kindGet
 	case *MultiGetReq:
 		return kindMultiGet
-	case *FetchRangeReq:
-		return kindFetchRange
 	case *RemoveReq:
 		return kindRemove
 	case *LoadReq:
@@ -95,7 +92,6 @@ var wireKinds = [numWireTypes]rpcKind{
 	tSplitReq: kindSplit, tSplitResp: kindSplit,
 	tRangeReq: kindRange, tRangeResp: kindRange,
 	tMultiGetReq: kindMultiGet, tMultiGetResp: kindMultiGet,
-	tFetchRangeReq: kindFetchRange, tFetchRangeResp: kindFetchRange,
 	tPutPtrReq: kindPutPtr, tPutPtrResp: kindPutPtr,
 	tSampleReq: kindSample, tSampleResp: kindSample,
 	tNodeReportReq: kindNodeReport, tNodeReportResp: kindNodeReport,
@@ -113,12 +109,6 @@ func payloadBytes(m Message) int64 {
 	case *GetResp:
 		return int64(len(v.Data))
 	case *MultiGetResp:
-		var n int64
-		for i := range v.Items {
-			n += int64(len(v.Items[i].Data))
-		}
-		return n
-	case *FetchRangeResp:
 		var n int64
 		for i := range v.Items {
 			n += int64(len(v.Items[i].Data))

@@ -205,30 +205,6 @@ type MultiGetResp struct {
 	pooled bool
 }
 
-// FetchRangeReq reads every data block a node holds in the arc (Lo, Hi],
-// the read-path counterpart of RangeReq: it always ships data and reports
-// pointer redirects instead of skipping pointer entries.
-type FetchRangeReq struct {
-	Lo, Hi keys.Key
-	// Limit caps the items per response (0 = server default). When the
-	// scan is truncated the response sets More and the caller resumes
-	// from the last returned key.
-	Limit int
-}
-
-// FetchRangeResp returns the arc's blocks in key order. Build busy-server
-// responses with AcquireFetchRangeResp to reuse the Items scaffolding
-// across RPCs.
-type FetchRangeResp struct {
-	Items []BatchItem
-	// More is set when Limit truncated the scan.
-	More bool
-
-	// pooled marks a response built by AcquireFetchRangeResp; the TCP
-	// transport recycles it after the frame is written. Never on the wire.
-	pooled bool
-}
-
 // PutPtrReq installs a block pointer: the receiver becomes responsible
 // for Key but the data stays at Target until pointer stabilization (§6).
 type PutPtrReq struct {
@@ -331,8 +307,6 @@ func (*RangeReq) isMessage()       {}
 func (*RangeResp) isMessage()      {}
 func (*MultiGetReq) isMessage()    {}
 func (*MultiGetResp) isMessage()   {}
-func (*FetchRangeReq) isMessage()  {}
-func (*FetchRangeResp) isMessage() {}
 func (*PutPtrReq) isMessage()      {}
 func (*PutPtrResp) isMessage()     {}
 func (*SampleReq) isMessage()      {}

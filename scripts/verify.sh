@@ -26,7 +26,9 @@
 #   scripts/verify.sh stream stream tier: the windowed-readahead pipeline
 #                            tests under -race (backpressure, adaptive
 #                            window, cancellation, the mid-stream
-#                            node-kill e2e) plus the alloc gate proving
+#                            node-kill e2e), the shared content-block
+#                            fetcher and overwrite tests (fs double and
+#                            live ring), plus the alloc gate proving
 #                            segment buffers recycle through the pool
 #                            (< 4 MB allocated per 8 MB streamed)
 #   scripts/verify.sh obs    obs tier: the history/health/flight tests,
@@ -132,7 +134,7 @@ fi
 
 if [ "${1:-}" = "stream" ]; then
 	echo "== stream tier: streaming pipeline tests under -race"
-	race_run 'Stream|ReadCacheByteCap' ./internal/fs/ ./internal/node/ .
+	race_run 'Stream|ReadCacheByteCap|ContentBlocks|Overwrite' ./internal/fs/ ./internal/node/ .
 	echo "== stream tier: consume-path alloc gate (want < 4 MB/op for an 8 MB stream)"
 	out=$(go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
 		./internal/fs/ | tee /dev/stderr)

@@ -105,38 +105,6 @@ func TestClusterTraceAssembly(t *testing.T) {
 		t.Fatalf("NodeCount = %d, want >= 3 (client + 2 servers)", n)
 	}
 
-	// The range-read path fans out per owner arc the same way: a forced
-	// ReadRange over the stored keys must leave the op root plus at least
-	// one range.segment span in the client's sink.
-	lo, hi := ks[0], ks[0]
-	for _, k := range ks[1:] {
-		if k.Less(lo) {
-			lo = k
-		}
-		if hi.Less(k) {
-			hi = k
-		}
-	}
-	rctx, rroot := client.StartTrace(ctx, "test.range")
-	entries, err := client.ReadRange(rctx, lo, hi)
-	rroot.EndErr(err)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("ReadRange returned no entries")
-	}
-	rnames := map[string]bool{}
-	for _, sp := range client.TraceSpans() {
-		if sp.Trace == rroot.TraceID() {
-			rnames[sp.Name] = true
-		}
-	}
-	for _, want := range []string{"test.range", "client.read_range", "range.segment"} {
-		if !rnames[want] {
-			t.Fatalf("range trace missing %q span; have %v", want, rnames)
-		}
-	}
 }
 
 // TestMemClusterForcedTrace checks the in-process cluster records the same
